@@ -38,18 +38,18 @@
 //	                over the P2B1 wire to the analyzer named by -downstream
 //	                instead of a local server
 //	-role analyzer  full node that additionally expects relay traffic on
-//	                POST /peer/ingest and sibling state on POST /peer/merge
+//	                POST /peer/ingest
 //
-// Analyzers (and combined nodes) push their local model contribution to
-// every -peers URL on a -peer-sync interval, so any analyzer can serve
-// GET /server/model with the fleet-wide model. On the -digest-sync
-// interval they additionally pull: each round fetches every peer's
-// /peer/digest high-water vector and retrieves only the contributions
-// this node is missing, so an analyzer that was partitioned away (and
-// whose siblings have nothing new to push) still converges on its own
-// schedule. -peer-token authenticates the peer routes in both
-// directions. With -registry the node announces itself on a p2bboard
-// bulletin board so agents can discover it.
+// Analyzers (and combined nodes) pull their siblings' model contributions
+// from every -peers URL on the -peer-sync interval, so any analyzer can
+// serve GET /server/model with the fleet-wide model. Each digest round
+// fetches every peer's /peer/digest high-water vector and retrieves only
+// the contributions this node is missing from /peer/contrib; digests list
+// stored third-party contributions too, so an analyzer that can reach one
+// sibling converges on the whole fleet, and one that was partitioned away
+// catches up on its own schedule. -peer-token authenticates the peer
+// routes in both directions. With -registry the node announces itself on
+// a p2bboard bulletin board so agents can discover it.
 //
 // # Durability
 //
@@ -128,9 +128,8 @@ func main() {
 		name        = flag.String("name", "", "node name in peer protocols and on the bulletin board (default <role>@<addr>)")
 		advertise   = flag.String("advertise", "", "base URL other fleet members reach this node at (default http://localhost<addr>)")
 		downstream  = flag.String("downstream", "", "relay only: base URL of the analyzer finished batches are forwarded to")
-		peersFlag   = flag.String("peers", "", "comma-separated base URLs of sibling analyzers to push local state to")
-		peerSync    = flag.Duration("peer-sync", 2*time.Second, "anti-entropy push interval to -peers")
-		digestSync  = flag.Duration("digest-sync", 15*time.Second, "pull-based anti-entropy interval: each round fetches peer digests and pulls only missing contributions, so a partitioned analyzer converges without waiting for inbound pushes (0 = pushes only)")
+		peersFlag   = flag.String("peers", "", "comma-separated base URLs of sibling analyzers to pull model contributions from")
+		peerSync    = flag.Duration("peer-sync", 2*time.Second, "anti-entropy interval: each digest round fetches every -peers digest and pulls only the contributions this node is missing")
 		peerToken   = flag.String("peer-token", "", "bearer token required on inbound /peer/* routes and sent on outbound peer traffic (empty = open)")
 		registry    = flag.String("registry", "", "bulletin-board base URL to announce this node on (see cmd/p2bboard; empty = no announcement)")
 		registryTTL = flag.Duration("registry-ttl", topology.DefaultTTL, "announcement TTL on the bulletin board")
@@ -265,45 +264,24 @@ func main() {
 			func() float64 { return float64(mgr.Info().Segments) })
 	}
 
-	// One boot epoch qualifies every position this node advertises for its
-	// own contribution stream — outbound pushes and the /peer/digest and
-	// /peer/contrib self entries — so a sibling that learned our position
-	// from a push and one that learned it from a digest agree.
-	peerEpoch := topology.BootEpoch()
-
-	// Outbound anti-entropy: analyzers and combined nodes with -peers push
-	// their local contribution to every sibling on the -peer-sync interval,
-	// and — unless -digest-sync is 0 — pull what they are missing on the
-	// digest-round interval.
+	// Anti-entropy: analyzers and combined nodes with -peers pull what
+	// they are missing from every sibling on the -peer-sync interval.
 	var peering *topology.Peering
 	if len(peerURLs) > 0 {
 		var err error
 		peering, err = topology.NewPeering(topology.PeeringOptions{
-			Origin:         *name,
-			Epoch:          peerEpoch,
-			Peers:          peerURLs,
-			Interval:       *peerSync,
-			Token:          *peerToken,
-			Export:         srv.ExportState,
-			LocalVersion:   srv.LocalVersion,
-			Logf:           log.Printf,
-			DigestInterval: *digestSync,
-			Local: func() []topology.DigestEntry {
-				var out []topology.DigestEntry
-				for _, c := range srv.PeerStatus().Contributions {
-					out = append(out, topology.DigestEntry{Origin: c.Origin, Epoch: c.Epoch, Seq: c.Seq})
-				}
-				return out
-			},
-			Apply: func(u topology.PeerUpdate) (bool, error) {
-				return srv.MergePeerState(u.Origin, u.Epoch, u.Seq, u.State)
-			},
+			Origin:   *name,
+			Peers:    peerURLs,
+			Interval: *peerSync,
+			Token:    *peerToken,
+			Server:   srv,
+			Logf:     log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("p2bnode: %v", err)
 		}
 		peering.Start()
-		log.Printf("p2bnode: pushing state to %d peer(s) every %v as origin %q (digest round: %v)", len(peerURLs), *peerSync, *name, *digestSync)
+		log.Printf("p2bnode: pulling from %d peer(s) every %v as origin %q", len(peerURLs), *peerSync, *name)
 	}
 
 	// The heartbeat handle exists before the handlers so its Status can be
@@ -355,7 +333,7 @@ func main() {
 			Peer: &httpapi.PeerOptions{
 				Origin: *name,
 				Token:  *peerToken,
-				Epoch:  peerEpoch,
+				Epoch:  topology.BootEpoch(),
 				Export: srv.ExportState,
 			},
 		}
@@ -414,6 +392,12 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("p2bnode: drain incomplete: %v", err)
 	}
+	// Stop pulling. Siblings fetch this node's contribution themselves,
+	// so nothing is handed over on exit: a durable node serves its last
+	// local delta from the final checkpoint on its next boot.
+	if peering != nil {
+		peering.Close()
+	}
 
 	// Push the pending sub-batch through the privacy pipeline. Small
 	// flushed batches are the ones most exposed to thresholding — that is
@@ -432,14 +416,6 @@ func main() {
 		}
 	} else {
 		shuf.Flush()
-	}
-
-	// Hand the siblings everything local before exiting, then stop the
-	// anti-entropy loop. The final flush above already landed in srv, so
-	// this last push carries the node's complete contribution.
-	if peering != nil {
-		peering.Sync()
-		peering.Close()
 	}
 
 	sst, shst := srv.Stats(), shuf.Stats()

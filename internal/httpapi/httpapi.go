@@ -138,8 +138,8 @@ type NodeOptions struct {
 	// Empty means "combined", the single-process default.
 	Role string
 	// Peer, when non-nil, mounts the analyzer-side peer routes
-	// (/peer/ingest, /peer/merge, /peer/status) and adds the "peers"
-	// section to /healthz and /server/stats.
+	// (/peer/ingest, /peer/digest, /peer/contrib, /peer/status) and adds
+	// the "peers" section to /healthz and /server/stats.
 	Peer *PeerOptions
 	// Board, when non-nil, reports the node's bulletin-board registration
 	// health (typically a topology.Heartbeat's Status method): a "board"

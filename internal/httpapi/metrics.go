@@ -78,7 +78,6 @@ var instrumentedRoutes = []struct {
 	{"raw", true},
 	{"healthz", false},
 	{"peer_ingest", true},
-	{"peer_merge", true},
 	{"peer_digest", false},
 	{"peer_contrib", false},
 }
@@ -240,32 +239,12 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.
 			"Relay batches suppressed by the (epoch, seq) duplicate guard.",
 			func() float64 { _, _, _, d := srv.PeerCounters(); return float64(d) })
 		if peer.Sync != nil {
-			// Outbound anti-entropy health, from the same Status() the
-			// JSON surfaces serialize. Lag is the age of the OLDEST peer's
-			// last successful push — the alerting-relevant worst case.
-			reg.CounterFunc("p2b_peer_sync_pushes_total", "",
-				"Successful outbound peer state pushes, summed over peers.",
-				func() float64 {
-					var n int64
-					for _, st := range peer.Sync() {
-						n += st.Pushes
-					}
-					return float64(n)
-				})
-			reg.CounterFunc("p2b_peer_sync_errors_total", "",
-				"Failed outbound peer state pushes, summed over peers.",
-				func() float64 {
-					var n int64
-					for _, st := range peer.Sync() {
-						n += st.Errors
-					}
-					return float64(n)
-				})
+			// Digest-round health, from the same Status() the JSON
+			// surfaces serialize. Lag is the age of the OLDEST peer's last
+			// clean round — the alerting-relevant worst case.
 			reg.GaugeFunc("p2b_peer_sync_max_lag_seconds", "",
-				"Age of the oldest peer's last successful state push (-1 until every peer has been reached once).",
+				"Age of the oldest peer's last clean digest round (-1 until every peer has been pulled from once).",
 				func() float64 { return peerSyncMaxLag(peer.Sync(), time.Now()) })
-			// Digest-round (pull) health, from the same Status() snapshot.
-			// All zero on a push-only node.
 			reg.CounterFunc("p2b_peer_sync_pulls_total", "",
 				"Completed digest rounds, summed over peers.",
 				func() float64 {

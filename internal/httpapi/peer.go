@@ -7,14 +7,13 @@
 //	POST /peer/ingest  one relay-forwarded privacy batch (P2B1 binary
 //	                   stream, positioned by the X-P2b-Peer-* headers);
 //	                   delivered straight to the analyzer server — the
-//	                   relay already shuffled and thresholded it
-//	POST /peer/merge   one sibling analyzer's local-state export
-//	                   (topology.PeerUpdate JSON), stored per origin with
-//	                   replace-if-newer semantics
+//	                   relay already shuffled and thresholded it; answers
+//	                   200 with a topology.PeerAck, applied=false for a
+//	                   duplicate (which the relay treats as success)
 //	GET  /peer/digest  the per-origin (epoch, seq) high-water vector of
 //	                   every contribution this node can serve — its own
-//	                   live state plus stored sibling contributions — for
-//	                   the pull side of the digest round
+//	                   live state plus stored sibling contributions — that
+//	                   sibling analyzers diff in their digest round
 //	GET  /peer/contrib?origin=X  one contribution as a topology.PeerUpdate:
 //	                   this node's own (exported live, stamped with the
 //	                   local version captured before the export) or a
@@ -22,12 +21,9 @@
 //	                   position, which is what makes healing transitive)
 //	GET  /peer/status  replication counters and per-origin positions
 //
-// Both POST routes answer 200 with a topology.PeerAck naming whether the
-// payload changed state; a duplicate or stale payload acks applied=false,
-// which senders treat as success. When the node was started with a peer
-// token, requests must carry it as a bearer token; the digest and contrib
-// GETs are authenticated too — they hand out model state, exactly what
-// the merge route accepts.
+// When the node was started with a peer token, requests must carry it as
+// a bearer token; the digest and contrib GETs are authenticated too — they
+// hand out model state.
 //
 // Relay-side: NewRelayHandler mounts the same /shuffler/ routes a combined
 // node serves (same admission gate, same durable-ingest hooks, same
@@ -38,7 +34,6 @@ package httpapi
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"io"
 	"mime"
@@ -70,24 +65,22 @@ type PeerOptions struct {
 	// Deliver applies a relay batch. Nil delivers straight to the server
 	// (no durability).
 	Deliver PeerDeliverFunc
-	// Sync reports the node's outbound anti-entropy status (nil when the
-	// node pushes to no peers).
+	// Sync reports the node's digest-round status per peer it pulls from
+	// (nil when the node pulls from no peers).
 	Sync func() []topology.SyncStatus
 	// Epoch is the boot nonce stamping this node's own contribution on
-	// /peer/digest and /peer/contrib — the same epoch the node's outbound
-	// peering pushes under, so a puller and a pushee agree on the
-	// position they hold. Zero (together with a nil Export) omits the
+	// /peer/digest and /peer/contrib. Zero (like a nil Export) omits the
 	// self entry: the node serves only stored third-party contributions.
 	Epoch uint64
 	// Export returns the node's LOCAL state for a self-origin contrib
-	// fetch (wire it to server.ExportState, the same func the peering
-	// push loop uses). Nil omits the self entry from the digest.
+	// fetch (wire it to server.ExportState). Nil omits the self entry
+	// from the digest.
 	Export func() *server.PersistedState
 }
 
 // PeerHealth is the "peers" section of /healthz, /server/stats and the
 // GET /peer/status body: the server's replication counters plus the
-// outbound sync status. The counters are the same atomics the /metrics
+// digest-round status per peer. The counters are the same atomics the /metrics
 // peer collectors sample.
 type PeerHealth struct {
 	server.PeerStatus
@@ -123,11 +116,11 @@ func (o *PeerOptions) peerPosition(r *http.Request) (origin string, epoch, seq u
 	return origin, epoch, seq, nil
 }
 
-// newPeerHandler mounts the peer routes. srv is the analyzer server the
-// batches and merges land in; adm bounds the two POST routes exactly like
-// the agent ingest routes (relay and peer traffic competes for the same
-// admission budget — the node's memory does not care who sent the bytes);
-// nm instruments them; peers builds the status payload.
+// newPeerHandler mounts the peer routes. srv is the analyzer server relay
+// batches land in and contributions are served from; adm bounds the ingest
+// route exactly like the agent ingest routes (relay traffic competes for
+// the same admission budget — the node's memory does not care who sent the
+// bytes); nm instruments the routes; peers builds the status payload.
 func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *nodeMetrics, peers func() *PeerHealth) http.Handler {
 	deliver := opts.Deliver
 	if deliver == nil {
@@ -180,28 +173,6 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 		}
 		writeJSON(w, topology.PeerAck{Applied: applied})
 	})))
-	mux.HandleFunc("POST /merge", nm.wrap("peer_merge", adm.guard(func(w http.ResponseWriter, r *http.Request) {
-		if !opts.authorized(r) {
-			http.Error(w, "httpapi: peer token required", http.StatusUnauthorized)
-			return
-		}
-		var upd topology.PeerUpdate
-		body := http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
-		if err := decodeJSONBody(body, &upd); err != nil {
-			writeBodyError(w, err)
-			return
-		}
-		if upd.Origin == opts.Origin {
-			http.Error(w, fmt.Sprintf("httpapi: peer update claims this node's own origin %q", upd.Origin), http.StatusBadRequest)
-			return
-		}
-		applied, err := srv.MergePeerState(upd.Origin, upd.Epoch, upd.Seq, upd.State)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, topology.PeerAck{Applied: applied})
-	})))
 	mux.HandleFunc("GET /digest", nm.wrap("peer_digest", func(w http.ResponseWriter, r *http.Request) {
 		if !opts.authorized(r) {
 			http.Error(w, "httpapi: peer token required", http.StatusUnauthorized)
@@ -209,10 +180,10 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 		}
 		var d topology.Digest
 		if opts.Export != nil && opts.Epoch != 0 {
-			// The self entry advertises the live local version, not the
-			// last pushed seq: both are stamps of the same counter, so a
-			// sibling holding the last push sees a gap exactly when local
-			// state moved since.
+			// The self entry advertises the live local version, the same
+			// counter /peer/contrib stamps its export with, so a sibling
+			// holding the last fetch sees a gap exactly when local state
+			// moved since.
 			d.Entries = append(d.Entries, topology.DigestEntry{
 				Origin: opts.Origin, Epoch: opts.Epoch, Seq: srv.LocalVersion(),
 			})
@@ -239,9 +210,9 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 			// refetch next round, never a missed update.
 			version := srv.LocalVersion()
 			state := opts.Export()
-			// Relay duplicate-guard positions stay local, exactly as on
-			// the push path: the puller stores this as OUR contribution
-			// and must not inherit our dedup state.
+			// Relay duplicate-guard positions stay local: the puller
+			// stores this as OUR contribution and must not inherit our
+			// dedup state.
 			state.Relays = nil
 			writeJSON(w, topology.PeerUpdate{Origin: origin, Epoch: opts.Epoch, Seq: version, State: state})
 			return
@@ -257,17 +228,6 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 		writeJSON(w, peers())
 	})
 	return mux
-}
-
-// decodeJSONBody is decodeJSON for callers that already bounded the body
-// (peer merges legitimately exceed the single-report limit).
-func decodeJSONBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("httpapi: bad request body: %w", err)
-	}
-	return nil
 }
 
 // RelayOptions configures a relay handler. The zero value is a plain

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,87 +148,53 @@ func TestPeerIngestRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-// postMerge sends one PeerUpdate and returns (status, ack.Applied).
-func postMerge(t *testing.T, url string, upd topology.PeerUpdate) (int, bool) {
+// newContributor builds an analyzer serving its own contribution on
+// /peer/digest and /peer/contrib, with n tuples of local state.
+func newContributor(t *testing.T, origin string, epoch uint64, n int) *httptest.Server {
 	t.Helper()
-	blob, err := json.Marshal(upd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/peer/merge", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ack topology.PeerAck
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode, ack.Applied
+	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 2, Shards: 1})
+	srv.Deliver(peerBatch(n))
+	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(3))
+	ts := httptest.NewServer(NewNodeHandlerOpts(shuf, srv, NodeOptions{
+		Peer: &PeerOptions{Origin: origin, Epoch: epoch, Export: srv.ExportState},
+	}))
+	t.Cleanup(ts.Close)
+	return ts
 }
 
-func TestPeerMergeDoubleApplyRejectedOverWire(t *testing.T) {
-	srv, ts := newAnalyzer(t, "analyzer-1", "")
-
-	remote := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 2, Shards: 1})
-	remote.Deliver(peerBatch(12))
-	upd := topology.PeerUpdate{Origin: "analyzer-2", Epoch: 9, Seq: 1, State: remote.ExportState()}
-
-	status, applied := postMerge(t, ts.URL, upd)
-	if status != http.StatusOK || !applied {
-		t.Fatalf("first merge: status %d applied %v", status, applied)
+// newPullingNode builds an analyzer-role node whose digest round pulls
+// from peers and whose peer surfaces report that round's status, the way
+// p2bnode wires them. The round is never started; tests drive DigestSync.
+func newPullingNode(t *testing.T, origin string, peers ...string) (*server.Server, *topology.Peering, *httptest.Server) {
+	t.Helper()
+	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1, Shards: 1})
+	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(2))
+	peering, err := topology.NewPeering(topology.PeeringOptions{
+		Origin:   origin,
+		Peers:    peers,
+		Interval: time.Hour,
+		Server:   srv,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := srv.PeerStatus()
-
-	// The double-applied push: same origin, same (epoch, seq). The guard
-	// rejects it — applied=false — and the stored state does not change, so
-	// the same data can never fold into the model twice.
-	status, applied = postMerge(t, ts.URL, upd)
-	if status != http.StatusOK || applied {
-		t.Fatalf("double apply: status %d applied %v, want applied=false", status, applied)
-	}
-	after := srv.PeerStatus()
-	if after.MergesRejected != before.MergesRejected+1 || after.MergesApplied != before.MergesApplied {
-		t.Fatalf("counters before %+v after %+v", before, after)
-	}
-
-	// Self-origin and shape mismatches are 400s, not silent accepts.
-	if status, _ := postMerge(t, ts.URL, topology.PeerUpdate{Origin: "analyzer-1", Epoch: 1, Seq: 1, State: remote.ExportState()}); status != http.StatusBadRequest {
-		t.Fatalf("self-origin merge: status %d, want 400", status)
-	}
-	misshapen := server.New(server.Config{K: 4, Arms: 4, D: 3, Alpha: 1}).ExportState()
-	if status, _ := postMerge(t, ts.URL, topology.PeerUpdate{Origin: "analyzer-3", Epoch: 1, Seq: 1, State: misshapen}); status != http.StatusBadRequest {
-		t.Fatalf("misshapen merge: status %d, want 400", status)
-	}
+	ts := httptest.NewServer(NewNodeHandlerOpts(shuf, srv, NodeOptions{
+		Metrics: metrics.NewRegistry(),
+		Role:    string(topology.RoleAnalyzer),
+		Peer:    &PeerOptions{Origin: origin, Sync: peering.Status},
+	}))
+	t.Cleanup(ts.Close)
+	return srv, peering, ts
 }
 
 func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
-	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1, Shards: 1})
-	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(2))
-	reg := metrics.NewRegistry()
-	syncStatus := []topology.SyncStatus{{Target: "http://peer-a", Pushes: 3, LastSyncUnixNano: time.Now().UnixNano()}}
-	h := NewNodeHandlerOpts(shuf, srv, NodeOptions{
-		Metrics: reg,
-		Role:    string(topology.RoleAnalyzer),
-		Peer: &PeerOptions{
-			Origin: "analyzer-1",
-			Sync:   func() []topology.SyncStatus { return syncStatus },
-		},
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	remote := newContributor(t, "analyzer-2", 9, 8)
+	_, peering, ts := newPullingNode(t, "analyzer-1", remote.URL)
 
-	remote := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 2, Shards: 1})
-	remote.Deliver(peerBatch(8))
-	upd := topology.PeerUpdate{Origin: "analyzer-2", Epoch: 9, Seq: 1, State: remote.ExportState()}
-	if status, applied := postMerge(t, ts.URL, upd); status != http.StatusOK || !applied {
-		t.Fatalf("merge: status %d applied %v", status, applied)
-	}
-	if status, applied := postMerge(t, ts.URL, upd); status != http.StatusOK || applied {
-		t.Fatalf("repeat merge: status %d applied %v", status, applied)
-	}
+	// The first round fetches analyzer-2's contribution; the second finds
+	// it covered and fetches nothing.
+	peering.DigestSync()
+	peering.DigestSync()
 
 	var health struct {
 		Role  string      `json:"role"`
@@ -236,10 +204,11 @@ func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
 	if health.Role != "analyzer" {
 		t.Fatalf("healthz role = %q", health.Role)
 	}
-	if health.Peers == nil || health.Peers.MergesApplied != 1 || health.Peers.MergesRejected != 1 {
+	if health.Peers == nil || health.Peers.MergesApplied != 1 || health.Peers.MergesRejected != 0 {
 		t.Fatalf("healthz peers = %+v", health.Peers)
 	}
-	if len(health.Peers.Sync) != 1 || health.Peers.Sync[0].Target != "http://peer-a" {
+	if len(health.Peers.Sync) != 1 || health.Peers.Sync[0].Target != remote.URL ||
+		health.Peers.Sync[0].Pulls != 2 || health.Peers.Sync[0].Fetched != 1 {
 		t.Fatalf("healthz sync = %+v", health.Peers.Sync)
 	}
 	if len(health.Peers.Contributions) != 1 || health.Peers.Contributions[0].Origin != "analyzer-2" {
@@ -265,10 +234,12 @@ func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
 	// JSON surfaces report.
 	body, fams := scrape(t, ts)
 	for name, want := range map[string]string{
-		"p2b_peer_merges_applied_total":  "1",
-		"p2b_peer_merges_rejected_total": "1",
-		"p2b_peer_relay_batches_total":   "0",
-		"p2b_peer_sync_pushes_total":     "3",
+		"p2b_peer_merges_applied_total":   "1",
+		"p2b_peer_merges_rejected_total":  "0",
+		"p2b_peer_relay_batches_total":    "0",
+		"p2b_peer_sync_pulls_total":       "2",
+		"p2b_peer_sync_pull_errors_total": "0",
+		"p2b_peer_sync_fetched_total":     "1",
 	} {
 		if !fams[name] {
 			t.Fatalf("family %s missing from /metrics:\n%s", name, body)
@@ -279,6 +250,64 @@ func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
 	}
 	if !strings.Contains(body, "p2b_peer_sync_max_lag_seconds") {
 		t.Fatalf("lag gauge missing:\n%s", body)
+	}
+}
+
+// A clean digest round clears the last error and stamps the sync time, so
+// a healed peer stops reading as broken on /peer/status and the lag gauge
+// leaves its "never reached" value.
+func TestDigestRoundStatusRecoversAfterFailure(t *testing.T) {
+	remote := newContributor(t, "analyzer-2", 9, 8)
+	var down atomic.Bool
+	down.Store(true)
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, "partitioned", http.StatusServiceUnavailable)
+			return
+		}
+		http.Redirect(w, r, remote.URL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+	}))
+	defer flaky.Close()
+	_, peering, ts := newPullingNode(t, "analyzer-1", flaky.URL)
+
+	lag := func() float64 {
+		t.Helper()
+		body, _ := scrape(t, ts)
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, "p2b_peer_sync_max_lag_seconds "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("lag gauge missing:\n%s", body)
+		return 0
+	}
+
+	peering.DigestSync()
+	var st PeerHealth
+	getJSON(t, ts.URL+"/peer/status", &st)
+	if len(st.Sync) != 1 || st.Sync[0].LastError == "" || st.Sync[0].PullErrors != 1 {
+		t.Fatalf("failed round status = %+v, want a recorded error", st.Sync)
+	}
+	if got := lag(); got != -1 {
+		t.Fatalf("lag after a failed first round = %v, want -1", got)
+	}
+
+	down.Store(false)
+	peering.DigestSync()
+	st = PeerHealth{} // a cleared last_error is omitted, not overwritten
+	getJSON(t, ts.URL+"/peer/status", &st)
+	if len(st.Sync) != 1 || st.Sync[0].LastError != "" || st.Sync[0].Pulls != 1 || st.Sync[0].Fetched != 1 {
+		t.Fatalf("healed round status = %+v, want a clean pull with the error cleared", st.Sync)
+	}
+	if got := lag(); got < 0 {
+		t.Fatalf("lag after a healed round = %v, want >= 0", got)
+	}
+	if st.MergesApplied != 1 {
+		t.Fatalf("healed round applied %d merges, want 1", st.MergesApplied)
 	}
 }
 
@@ -362,4 +391,50 @@ func getJSON(t *testing.T, url string, v any) {
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
+}
+
+// FuzzPeerPosition drives the X-P2b-Peer-* header parser of relay batches:
+// it never panics, it accepts exactly the positions with a foreign
+// non-empty origin and two base-10 uint64 counters, and what it accepts is
+// what the headers say.
+func FuzzPeerPosition(f *testing.F) {
+	const self = "analyzer-1"
+	f.Add("relay-1", "7", "1")
+	f.Add("relay-1", "0", "0")
+	f.Add("relay-1", "18446744073709551615", "18446744073709551615")
+	f.Add("relay-1", "18446744073709551616", "1")
+	f.Add(self, "1", "1")
+	f.Add("", "1", "1")
+	f.Add("relay-1", "x", "1")
+	f.Add("relay-1", "1", "")
+	f.Add("relay-1", "-1", "1")
+	f.Add("relay-1", "+1", "1")
+	f.Add("relay-1", "0x10", " 1")
+	f.Fuzz(func(t *testing.T, origin, epochHdr, seqHdr string) {
+		o := &PeerOptions{Origin: self}
+		r := httptest.NewRequest(http.MethodPost, "/peer/ingest", nil)
+		r.Header.Set(topology.OriginHeader, origin)
+		r.Header.Set(topology.EpochHeader, epochHdr)
+		r.Header.Set(topology.SeqHeader, seqHdr)
+		gotOrigin, epoch, seq, err := o.peerPosition(r)
+
+		// Header.Set stores the value verbatim; compare against what the
+		// parser actually sees.
+		origin = r.Header.Get(topology.OriginHeader)
+		wantEpoch, epochErr := strconv.ParseUint(r.Header.Get(topology.EpochHeader), 10, 64)
+		wantSeq, seqErr := strconv.ParseUint(r.Header.Get(topology.SeqHeader), 10, 64)
+		valid := origin != "" && origin != self && epochErr == nil && seqErr == nil
+		if valid != (err == nil) {
+			t.Fatalf("peerPosition(%q, %q, %q) err = %v, want valid=%v", origin, epochHdr, seqHdr, err, valid)
+		}
+		if err != nil {
+			return
+		}
+		if gotOrigin == "" || gotOrigin == self || gotOrigin != origin {
+			t.Fatalf("accepted origin %q from header %q", gotOrigin, origin)
+		}
+		if epoch != wantEpoch || seq != wantSeq {
+			t.Fatalf("accepted (%d, %d), headers parse to (%d, %d)", epoch, seq, wantEpoch, wantSeq)
+		}
+	})
 }

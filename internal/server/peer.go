@@ -141,7 +141,7 @@ func (s *Server) NoteRelayDuplicate() {
 // MergePeerState stores one sibling analyzer's local-state export,
 // replacing any older contribution from the same origin. It returns
 // (false, nil) when the update is stale — same epoch, sequence not newer
-// than what is stored — which is how a double-applied peer push is
+// than what is stored — which is how a double-applied contribution is
 // rejected. The state's shape must match this server's configuration.
 func (s *Server) MergePeerState(origin string, epoch, seq uint64, ps *PersistedState) (bool, error) {
 	if origin == "" {
@@ -250,9 +250,10 @@ func (s *Server) peerContributions() []*peerContribution {
 }
 
 // LocalVersion returns the mutation counter of the LOCAL state only —
-// shard ingestion, excluding peer merges. The peering loop keys its
-// push-skipping on it: a node whose only change is inbound peer state has
-// nothing new to offer its peers.
+// shard ingestion, excluding peer merges. It stamps the node's own
+// contribution on /peer/digest and /peer/contrib: a node whose only change
+// is inbound peer state has nothing new to offer its peers, so their
+// digest rounds fetch nothing from it.
 func (s *Server) LocalVersion() uint64 {
 	var v uint64
 	for i := range s.shards {

@@ -49,10 +49,9 @@ type PersistedState struct {
 	// already folded in. Peer MERGE contributions are deliberately NOT part
 	// of the export: they are soft state the anti-entropy loop repopulates
 	// within one sync interval, and persisting them would let a stale copy
-	// of a peer's data outlive the peer's own newer exports. The peering
-	// push path strips this field before sending — a receiver stores the
-	// update as the sender's contribution and must not inherit the sender's
-	// dedup bookkeeping.
+	// of a peer's data outlive the peer's own newer exports. /peer/contrib
+	// strips this field before serving — a puller stores the update as the
+	// server's contribution and must not inherit its dedup bookkeeping.
 	Relays map[string]PeerSeq `json:"relays,omitempty"`
 }
 

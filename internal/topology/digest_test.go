@@ -1,11 +1,15 @@
-// The digest round, driven deterministically: a partitioned analyzer that
-// receives NO inbound pushes must converge on the fleet state by pulling
-// alone — fetching peer digests, diffing them against what it holds, and
-// retrieving only the missing contributions. Exactness conditions are the
-// equivalence test's, so convergence is asserted byte for byte.
+// The digest round, driven deterministically: an analyzer converges on the
+// fleet state by pulling alone — fetching peer digests, diffing them
+// against what it holds, and retrieving only the missing contributions.
+// Exactness conditions are the equivalence test's, so convergence is
+// asserted byte for byte.
 package topology_test
 
 import (
+	"encoding/json"
+	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,30 +51,18 @@ func (n *digestNode) ingest(batches [][]transport.Tuple) {
 	}
 }
 
-// newPuller builds n's peering the way p2bnode wires it: holdings from
-// the server's stored contributions, fetches applied through
-// MergePeerState. The loop is never started; tests drive DigestSync.
-func newPuller(t *testing.T, n *digestNode, origin string, epoch uint64, token string, peers ...string) *topology.Peering {
+// newPuller builds the peering of the analyzer named origin, merging into
+// srv the way p2bnode wires it. The loop is never started; tests drive
+// DigestSync.
+func newPuller(t *testing.T, srv *server.Server, origin, token string, peers ...string) *topology.Peering {
 	t.Helper()
 	p, err := topology.NewPeering(topology.PeeringOptions{
-		Origin:         origin,
-		Epoch:          epoch,
-		Peers:          peers,
-		Token:          token,
-		Export:         n.srv.ExportState,
-		LocalVersion:   n.srv.LocalVersion,
-		DigestInterval: time.Hour,
-		Local: func() []topology.DigestEntry {
-			var out []topology.DigestEntry
-			for _, c := range n.srv.PeerStatus().Contributions {
-				out = append(out, topology.DigestEntry{Origin: c.Origin, Epoch: c.Epoch, Seq: c.Seq})
-			}
-			return out
-		},
-		Apply: func(u topology.PeerUpdate) (bool, error) {
-			return n.srv.MergePeerState(u.Origin, u.Epoch, u.Seq, u.State)
-		},
-		Logf: t.Logf,
+		Origin:   origin,
+		Peers:    peers,
+		Interval: time.Hour,
+		Token:    token,
+		Server:   srv,
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,13 +83,13 @@ func pullStatus(t *testing.T, p *topology.Peering) topology.SyncStatus {
 func TestPartitionedAnalyzerConvergesViaDigestAlone(t *testing.T) {
 	batches := eqBatches(6, 42)
 
-	// Analyzer A holds data and pushes to NOBODY: it has no peering at
+	// Analyzer A holds data and pulls from nobody: it has no peering at
 	// all. Everything B learns, B must pull.
 	a := newDigestNode(t, "analyzer-a", 7, 10, "")
 	a.ingest(batches[:4])
 
 	b := newDigestNode(t, "analyzer-b", 8, 11, "")
-	puller := newPuller(t, b, "analyzer-b", 8, "", a.url)
+	puller := newPuller(t, b.srv, "analyzer-b", "", a.url)
 
 	puller.DigestSync()
 	if got, want := fetchModel(t, b.url), fetchModel(t, a.url); got != want {
@@ -127,6 +119,37 @@ func TestPartitionedAnalyzerConvergesViaDigestAlone(t *testing.T) {
 	}
 }
 
+// The background loop runs the same round on every Interval tick, and
+// Close waits for it to exit.
+func TestPeeringLoopConvergesOnItsOwn(t *testing.T) {
+	a := newDigestNode(t, "analyzer-a", 7, 10, "")
+	a.ingest(eqBatches(3, 21))
+	b := newDigestNode(t, "analyzer-b", 8, 11, "")
+	p, err := topology.NewPeering(topology.PeeringOptions{
+		Origin:   "analyzer-b",
+		Peers:    []string{a.url},
+		Interval: 5 * time.Millisecond,
+		Server:   b.srv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	deadline := time.Now().Add(5 * time.Second)
+	for pullStatus(t, p).Fetched == 0 {
+		if time.Now().After(deadline) {
+			p.Close()
+			t.Fatalf("loop never fetched A's contribution: %+v", pullStatus(t, p))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	p.Close()
+	p.Close() // idempotent
+	if got, want := fetchModel(t, b.url), fetchModel(t, a.url); got != want {
+		t.Errorf("looping puller diverged from A:\n got %s\nwant %s", got, want)
+	}
+}
+
 // Digests list STORED third-party contributions too, so healing is
 // transitive: C reaches only B, yet converges on A's data through B's
 // stored copy — byte-identical to a single node that saw everything.
@@ -145,9 +168,9 @@ func TestDigestRoundHealsTransitively(t *testing.T) {
 
 	// B pulls from A, then C (which holds nothing and can reach only B)
 	// pulls from B.
-	newPuller(t, b, "analyzer-b", 8, "", a.url).DigestSync()
+	newPuller(t, b.srv, "analyzer-b", "", a.url).DigestSync()
 	c := newDigestNode(t, "analyzer-c", 9, 12, "")
-	cPuller := newPuller(t, c, "analyzer-c", 9, "", b.url)
+	cPuller := newPuller(t, c.srv, "analyzer-c", "", b.url)
 	cPuller.DigestSync()
 
 	if got, want := fetchModel(t, c.url), fetchModel(t, single.url); got != want {
@@ -162,40 +185,6 @@ func TestDigestRoundHealsTransitively(t *testing.T) {
 	}
 }
 
-// Pushes and digests stamp sequence numbers from the same local-version
-// counter, so a position learned from a push is recognized as covered by
-// the pull side — a healthy pushed-to analyzer never refetches state it
-// already holds.
-func TestDigestSkipsPositionsAlreadyPushed(t *testing.T) {
-	a := newDigestNode(t, "analyzer-a", 7, 10, "")
-	a.ingest(eqBatches(3, 7))
-	b := newDigestNode(t, "analyzer-b", 8, 11, "")
-
-	// A pushes to B once (the healthy steady state). Epoch 7 is the same
-	// epoch A's digest surface advertises, exactly as p2bnode wires it.
-	pusher, err := topology.NewPeering(topology.PeeringOptions{
-		Origin:       "analyzer-a",
-		Epoch:        7,
-		Peers:        []string{b.url},
-		Export:       a.srv.ExportState,
-		LocalVersion: a.srv.LocalVersion,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pusher.Sync()
-	if st := pullStatus(t, pusher); st.Pushes != 1 || st.Errors != 0 {
-		t.Fatalf("push status = %+v, want one clean push", st)
-	}
-
-	// B's digest round against A must find nothing to fetch.
-	puller := newPuller(t, b, "analyzer-b", 8, "", a.url)
-	puller.DigestSync()
-	if st := pullStatus(t, puller); st.Pulls != 1 || st.Fetched != 0 || st.PullErrors != 0 {
-		t.Fatalf("pull status after push = %+v, want a completed round fetching nothing", st)
-	}
-}
-
 // The digest and contrib routes hand out model state, so they demand the
 // same bearer token the write routes do.
 func TestDigestRoutesRequireToken(t *testing.T) {
@@ -203,18 +192,143 @@ func TestDigestRoutesRequireToken(t *testing.T) {
 	a.ingest(eqBatches(2, 3))
 	b := newDigestNode(t, "analyzer-b", 8, 11, "")
 
-	unauthed := newPuller(t, b, "analyzer-b", 8, "", a.url)
+	unauthed := newPuller(t, b.srv, "analyzer-b", "", a.url)
 	unauthed.DigestSync()
 	if st := pullStatus(t, unauthed); st.PullErrors != 1 || st.Fetched != 0 {
 		t.Fatalf("tokenless pull against a token-guarded peer = %+v, want one rejected round", st)
 	}
 
-	authed := newPuller(t, b, "analyzer-b", 8, "hunter2", a.url)
+	authed := newPuller(t, b.srv, "analyzer-b", "hunter2", a.url)
 	authed.DigestSync()
 	if st := pullStatus(t, authed); st.Pulls != 1 || st.Fetched != 1 {
 		t.Fatalf("authenticated pull = %+v, want one fetched contribution", st)
 	}
 	if got, want := fetchModel(t, b.url), fetchModel(t, a.url); got != want {
 		t.Error("authenticated digest round did not converge B on A's model")
+	}
+}
+
+// fakePeer is a hand-rolled peer surface: it advertises digest and answers
+// every contrib fetch with serve, counting the fetches.
+func fakePeer(t *testing.T, digest []topology.DigestEntry, serve topology.PeerUpdate) (string, *atomic.Int64) {
+	t.Helper()
+	var fetches atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /peer/digest", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(topology.Digest{Entries: digest})
+	})
+	mux.HandleFunc("GET /peer/contrib", func(w http.ResponseWriter, r *http.Request) {
+		fetches.Add(1)
+		_ = json.NewEncoder(w).Encode(serve)
+	})
+	return newTestServer(t, mux).URL, &fetches
+}
+
+// The pull path guards this node's own origin: local state is
+// authoritative for it, so a peer can neither make the puller fetch it nor
+// slip it in under another origin's name.
+func TestDigestRoundSelfOriginGuard(t *testing.T) {
+	remote := eqServer()
+	remote.Deliver(eqBatches(1, 3)[0])
+	state := remote.ExportState()
+	for _, tc := range []struct {
+		name        string
+		digest      []topology.DigestEntry
+		serve       topology.PeerUpdate
+		wantFetches int64
+		wantErrors  int64
+	}{
+		{
+			name:        "digest lists the puller's own origin",
+			digest:      []topology.DigestEntry{{Origin: "analyzer-b", Epoch: 1, Seq: 9}},
+			serve:       topology.PeerUpdate{Origin: "analyzer-b", Epoch: 1, Seq: 9, State: state},
+			wantFetches: 0,
+			wantErrors:  0,
+		},
+		{
+			name:        "peer serves another origin than requested",
+			digest:      []topology.DigestEntry{{Origin: "analyzer-x", Epoch: 1, Seq: 9}},
+			serve:       topology.PeerUpdate{Origin: "analyzer-y", Epoch: 1, Seq: 9, State: state},
+			wantFetches: 1,
+			wantErrors:  1,
+		},
+		{
+			name:        "peer serves the puller's own origin as another's",
+			digest:      []topology.DigestEntry{{Origin: "analyzer-x", Epoch: 1, Seq: 9}},
+			serve:       topology.PeerUpdate{Origin: "analyzer-b", Epoch: 1, Seq: 9, State: state},
+			wantFetches: 1,
+			wantErrors:  1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			url, fetches := fakePeer(t, tc.digest, tc.serve)
+			b := eqServer()
+			puller := newPuller(t, b, "analyzer-b", "", url)
+			puller.DigestSync()
+			if got := fetches.Load(); got != tc.wantFetches {
+				t.Errorf("contrib fetches = %d, want %d", got, tc.wantFetches)
+			}
+			if st := pullStatus(t, puller); st.PullErrors != tc.wantErrors || st.Pulls != 1-tc.wantErrors || st.Fetched != 0 {
+				t.Errorf("pull status = %+v, want %d pull errors and nothing fetched", st, tc.wantErrors)
+			}
+			if ps := b.PeerStatus(); ps.MergesApplied != 0 || len(ps.Contributions) != 0 {
+				t.Errorf("puller stored peer state %+v, want none", ps)
+			}
+		})
+	}
+}
+
+// A peer body past MaxPeerBodyBytes fails the round instead of being read
+// into memory without bound.
+func TestDigestRoundRejectsOversizedBody(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /peer/digest", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(topology.Digest{Entries: []topology.DigestEntry{{Origin: "analyzer-a", Epoch: 1, Seq: 1}}})
+	})
+	mux.HandleFunc("GET /peer/contrib", func(w http.ResponseWriter, r *http.Request) {
+		// Syntactically valid JSON padded past the cap, streamed in chunks
+		// so the serving side stays small.
+		_, _ = w.Write([]byte(`{"origin":"analyzer-a","epoch":1,"seq":1,"state":null`))
+		pad := []byte(strings.Repeat(" ", 1<<16))
+		for n := 0; n <= topology.MaxPeerBodyBytes; n += len(pad) {
+			if _, err := w.Write(pad); err != nil {
+				return
+			}
+		}
+		_, _ = w.Write([]byte("}"))
+	})
+	url := newTestServer(t, mux).URL
+	b := eqServer()
+	puller := newPuller(t, b, "analyzer-b", "", url)
+	puller.DigestSync()
+	st := pullStatus(t, puller)
+	if st.PullErrors != 1 || st.Pulls != 0 || st.Fetched != 0 {
+		t.Fatalf("pull status = %+v, want one failed round", st)
+	}
+	if !strings.Contains(st.LastError, "cap") {
+		t.Fatalf("last error = %q, want the payload cap named", st.LastError)
+	}
+	if ps := b.PeerStatus(); ps.MergesApplied != 0 {
+		t.Fatalf("oversized contribution was applied: %+v", ps)
+	}
+}
+
+func TestNewPeeringRejectsBadOptions(t *testing.T) {
+	srv := eqServer()
+	good := topology.PeeringOptions{Origin: "a", Peers: []string{"http://b"}, Interval: time.Second, Server: srv}
+	for name, mutate := range map[string]func(*topology.PeeringOptions){
+		"no origin":     func(o *topology.PeeringOptions) { o.Origin = "" },
+		"no peers":      func(o *topology.PeeringOptions) { o.Peers = nil },
+		"zero interval": func(o *topology.PeeringOptions) { o.Interval = 0 },
+		"no server":     func(o *topology.PeeringOptions) { o.Server = nil },
+	} {
+		opts := good
+		mutate(&opts)
+		if _, err := topology.NewPeering(opts); err == nil {
+			t.Errorf("%s: NewPeering accepted %+v", name, opts)
+		}
+	}
+	if _, err := topology.NewPeering(good); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
 	}
 }

@@ -108,13 +108,13 @@ func TestPartitionedFleetMatchesSingleNodeByteForByte(t *testing.T) {
 	a1 := httptest.NewServer(httpapi.NewNodeHandlerOpts(a1Shuf, a1Srv, httpapi.NodeOptions{
 		Metrics: metrics.NewRegistry(),
 		Role:    string(topology.RoleAnalyzer),
-		Peer:    &httpapi.PeerOptions{Origin: "analyzer-1"},
+		Peer:    &httpapi.PeerOptions{Origin: "analyzer-1", Epoch: 1, Export: a1Srv.ExportState},
 	}))
 	defer a1.Close()
 	a2 := httptest.NewServer(httpapi.NewNodeHandlerOpts(a2Shuf, a2Srv, httpapi.NodeOptions{
 		Metrics: metrics.NewRegistry(),
 		Role:    string(topology.RoleAnalyzer),
-		Peer:    &httpapi.PeerOptions{Origin: "analyzer-2"},
+		Peer:    &httpapi.PeerOptions{Origin: "analyzer-2", Epoch: 2, Export: a2Srv.ExportState},
 	}))
 	defer a2.Close()
 
@@ -146,30 +146,20 @@ func TestPartitionedFleetMatchesSingleNodeByteForByte(t *testing.T) {
 		}
 	}
 
-	// Anti-entropy: drive one deterministic sync cycle in each direction
+	// Anti-entropy: drive one deterministic digest round in each direction
 	// (the daemonized loop does exactly this on a timer).
 	for _, p := range []struct {
 		origin string
-		from   *server.Server
-		to     string
+		into   *server.Server
+		from   string
 	}{
 		{"analyzer-1", a1Srv, a2.URL},
 		{"analyzer-2", a2Srv, a1.URL},
 	} {
-		peering, err := topology.NewPeering(topology.PeeringOptions{
-			Origin:       p.origin,
-			Peers:        []string{p.to},
-			Export:       p.from.ExportState,
-			LocalVersion: p.from.LocalVersion,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		peering.Sync()
-		for _, st := range peering.Status() {
-			if st.Errors != 0 || st.Pushes != 1 {
-				t.Fatalf("%s -> %s sync = %+v", p.origin, p.to, st)
-			}
+		peering := newPuller(t, p.into, p.origin, "", p.from)
+		peering.DigestSync()
+		if st := pullStatus(t, peering); st.PullErrors != 0 || st.Pulls != 1 || st.Fetched != 1 {
+			t.Fatalf("%s <- %s digest round = %+v", p.origin, p.from, st)
 		}
 	}
 

@@ -249,9 +249,8 @@ func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
 	return false, fmt.Errorf("topology: forwarding batch of %d to %s: %w", n, url, lastErr)
 }
 
-// PeerAck is the JSON response of /peer/ingest and /peer/merge: whether
-// the payload changed analyzer state (false = duplicate or stale, which
-// the sender treats as success).
+// PeerAck is the JSON response of /peer/ingest: whether the batch changed
+// analyzer state (false = duplicate, which the sender treats as success).
 type PeerAck struct {
 	Applied bool `json:"applied"`
 }

@@ -1,32 +1,27 @@
-// Analyzer peering: periodic anti-entropy pushes of each analyzer's LOCAL
-// model contribution to its sibling analyzers, plus an optional pull-based
-// digest round that heals what the pushes missed.
+// Analyzer peering: pull-based anti-entropy between sibling analyzers,
+// the digest round.
 //
-// The exchange is state replacement, not delta shipping: every push
-// carries the full merged export of the sender's own shards (what the
-// sender ingested itself — relay batches and direct reports — never what
-// it learned from peers), tagged (origin, epoch, seq). The receiver
-// stores at most one contribution per origin and replaces it when a
-// newer (epoch, seq) arrives. Replacement is what makes the protocol
-// idempotent and order-independent: applying the same update twice, or
-// applying updates out of order, converges to the same stored state with
-// no double counting and no floating-point subtraction anywhere.
+// On every interval, each analyzer asks every peer it lists for a digest —
+// the per-origin (epoch, seq) high-water vector of everything the peer can
+// serve — compares it against what it already holds, and fetches only the
+// missing or newer contributions from /peer/contrib. A contribution is the
+// full merged export of one analyzer's own shards (what it ingested itself
+// — relay batches and direct reports — never what it learned from peers),
+// tagged (origin, epoch, seq). The puller stores at most one contribution
+// per origin and replaces it when a newer (epoch, seq) arrives.
+// Replacement is what makes the protocol idempotent and order-independent:
+// fetching the same contribution twice, or fetching contributions out of
+// order, converges to the same stored state with no double counting and no
+// floating-point subtraction anywhere.
 //
-// Pushes alone leave a gap: an analyzer partitioned away while its
-// siblings pushed converges only when the siblings' NEXT pushes happen to
-// arrive — and a sibling whose local state stopped changing skips pushes
-// entirely, so the partitioned node could stay behind forever. The digest
-// round closes it from the receiving side. On its own schedule, each
-// analyzer asks every peer for a digest — the per-origin (epoch, seq)
-// high-water vector of everything the peer can serve — compares it
-// against what it already holds, and fetches only the missing or newer
-// contributions. Because digests also list the peer's STORED third-party
-// contributions, healing is transitive: an analyzer that can reach only
-// one sibling still converges on the whole fleet's state through it.
+// Digests also list the peer's STORED third-party contributions, so
+// healing is transitive: an analyzer that can reach only one sibling still
+// converges on the whole fleet's state through it. And because the puller
+// drives every exchange, an analyzer that was partitioned away catches up
+// on its own schedule — it never waits for a sibling to notice it.
 package topology
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,18 +34,25 @@ import (
 	"p2b/internal/server"
 )
 
-// PeerUpdate is the JSON body of POST /peer/merge: one analyzer's local
+// MaxPeerBodyBytes caps what a puller reads from one digest or contrib
+// response — the same bound an analyzer puts on one inbound relay batch.
+// A larger body fails the round instead of growing the puller's memory
+// without limit.
+const MaxPeerBodyBytes = 32 << 20
+
+// PeerUpdate is the JSON body of GET /peer/contrib: one analyzer's local
 // contribution to the fleet model.
 type PeerUpdate struct {
-	// Origin names the sending analyzer's contribution stream.
+	// Origin names the contributing analyzer's stream.
 	Origin string `json:"origin"`
-	// Epoch is the sender's boot nonce; sequence numbers reset with it.
+	// Epoch is the contributor's boot nonce; sequence numbers reset with it.
 	Epoch uint64 `json:"epoch"`
-	// Seq increases with every push within one epoch. A receiver holding
-	// (epoch, seq') with seq' >= seq ignores the update as stale.
+	// Seq is the contributor's local version when the state was exported.
+	// A puller holding (epoch, seq') with seq' >= seq ignores the update
+	// as stale.
 	Seq uint64 `json:"seq"`
-	// State is the sender's merged local accumulator export — the same
-	// additive sufficient statistics a checkpoint stores.
+	// State is the contributor's merged local accumulator export — the
+	// same additive sufficient statistics a checkpoint stores.
 	State *server.PersistedState `json:"state"`
 }
 
@@ -69,96 +71,57 @@ type DigestEntry struct {
 	Seq    uint64 `json:"seq"`
 }
 
-// SyncStatus is one peer's outbound anti-entropy health, reported on
-// /healthz and the stats routes of the pushing node.
+// SyncStatus is one peer's anti-entropy health as seen by the pulling
+// node, reported on /healthz, /server/stats and /peer/status.
 type SyncStatus struct {
-	Target    string `json:"target"`               // peer base URL
-	Pushes    int64  `json:"pushes"`               // successful pushes
-	Skipped   int64  `json:"skipped"`              // cycles skipped because local state was unchanged
-	Errors    int64  `json:"errors"`               // failed pushes
-	LastError string `json:"last_error,omitempty"` // most recent failure, cleared on success
-	// LastSyncUnixNano is when the last successful push completed
-	// (0 = never). Readers derive peer-merge lag from it.
+	Target     string `json:"target"`               // peer base URL
+	Pulls      int64  `json:"pulls"`                // completed digest rounds against this peer
+	PullErrors int64  `json:"pull_errors"`          // digest rounds that failed (fetch or apply)
+	Fetched    int64  `json:"fetched"`              // contributions fetched and applied
+	LastError  string `json:"last_error,omitempty"` // most recent failure, cleared by a clean round
+	// LastSyncUnixNano is when the last clean round completed (0 = never).
+	// Readers derive peer-merge lag from it.
 	LastSyncUnixNano int64 `json:"last_sync_unix_nano"`
-
-	// Digest-round (pull) health, all zero when pulls are disabled.
-	Pulls      int64 `json:"pulls,omitempty"`       // completed digest rounds against this peer
-	PullErrors int64 `json:"pull_errors,omitempty"` // digest rounds that failed (fetch or apply)
-	Fetched    int64 `json:"fetched,omitempty"`     // contributions fetched and applied via digest rounds
 }
 
-// PeeringOptions configures an analyzer's outbound anti-entropy loop.
+// PeeringOptions configures an analyzer's anti-entropy loop.
 type PeeringOptions struct {
-	// Origin names this analyzer's contribution stream. Required.
+	// Origin names this analyzer's contribution stream; a peer's copy of
+	// it is never fetched back. Required.
 	Origin string
-	// Epoch qualifies push sequence numbers across restarts. Zero selects
-	// a fresh boot nonce.
-	Epoch uint64
-	// Peers are the sibling analyzers' base URLs. Required (non-empty).
+	// Peers are the base URLs of the sibling analyzers this node pulls
+	// from. Required (non-empty).
 	Peers []string
-	// Interval is the push period (default 2s). Convergence lag between
-	// analyzers is bounded by roughly one interval plus transfer time.
+	// Interval is the pull period. Convergence lag between analyzers is
+	// bounded by roughly one interval per hop plus transfer time.
+	// Required (> 0).
 	Interval time.Duration
-	// Token, when non-empty, authenticates pushes as a bearer token.
+	// Token, when non-empty, authenticates pulls as a bearer token.
 	Token string
-	// Export returns the analyzer's current LOCAL state (its own shards
-	// only, never peer contributions — exporting those would echo every
-	// peer's data back at it through third parties, and while replacement
-	// semantics keep that correct, it wastes bandwidth and muddies origin
-	// accounting). Required.
-	Export func() *server.PersistedState
-	// LocalVersion returns a counter that changes whenever local state
-	// changes; unchanged versions skip the push. It doubles as the push
-	// sequence number: a push is stamped with the version captured BEFORE
-	// the export, so the advertised seq is a floor on the exported content
-	// and matches what the receiver's digest later reports for this
-	// origin. Nil pushes every cycle under a private counter — fine for
-	// push-only fleets, but the digest round requires it (the /peer/digest
-	// self entry is stamped from the same counter, and mixed stamping
-	// would let a digest under-report a pushed position and mask a
-	// missing fetch).
-	LocalVersion func() uint64
+	// Server is the analyzer the fetched contributions land in: each round
+	// diffs peer digests against its stored contributions and applies
+	// fetches through MergePeerState. Required.
+	Server *server.Server
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
-	// Logf receives push failures. Nil discards them.
+	// Logf receives pull failures. Nil discards them.
 	Logf func(format string, args ...any)
-
-	// The digest round (pull-based anti-entropy). Zero DigestInterval
-	// disables it and the remaining fields are ignored.
-
-	// DigestInterval is the pull period. Each round asks every peer for
-	// its digest and fetches only the contributions this node is missing,
-	// so a partitioned analyzer converges on its own schedule even if no
-	// peer ever pushes to it again.
-	DigestInterval time.Duration
-	// Local returns the per-origin positions this node already holds (its
-	// stored sibling contributions; its own origin is never fetched, so
-	// listing it is optional). Required when DigestInterval > 0.
-	Local func() []DigestEntry
-	// Apply stores one fetched contribution, with the same
-	// replace-if-newer semantics as an inbound push (wire it to
-	// server.MergePeerState). false means the update was already covered.
-	// Required when DigestInterval > 0.
-	Apply func(PeerUpdate) (bool, error)
 }
 
-// Peering runs the outbound anti-entropy loop of one analyzer.
+// Peering runs the anti-entropy loop of one analyzer.
 type Peering struct {
 	opts   PeeringOptions
 	client *http.Client
 
 	mu     sync.Mutex
-	seq    uint64
 	states map[string]*SyncStatus // keyed by peer URL
-	lastV  map[string]uint64      // local version last pushed per peer
-	pushed map[string]bool        // whether lastV entry is valid
 
 	stop chan struct{}
 	done chan struct{}
 }
 
 // NewPeering validates opts and returns a peering loop; call Start to run
-// it. Sync (one push cycle) can also be driven manually, which is what
+// it. DigestSync (one round) can also be driven manually, which is what
 // deterministic tests do.
 func NewPeering(opts PeeringOptions) (*Peering, error) {
 	if opts.Origin == "" {
@@ -167,17 +130,11 @@ func NewPeering(opts PeeringOptions) (*Peering, error) {
 	if len(opts.Peers) == 0 {
 		return nil, fmt.Errorf("topology: peering needs at least one peer URL")
 	}
-	if opts.Export == nil {
-		return nil, fmt.Errorf("topology: peering needs an Export func")
-	}
-	if opts.DigestInterval > 0 && (opts.Local == nil || opts.Apply == nil) {
-		return nil, fmt.Errorf("topology: the digest round needs Local and Apply funcs")
-	}
-	if opts.Epoch == 0 {
-		opts.Epoch = BootEpoch()
-	}
 	if opts.Interval <= 0 {
-		opts.Interval = 2 * time.Second
+		return nil, fmt.Errorf("topology: peering needs a positive interval, got %v", opts.Interval)
+	}
+	if opts.Server == nil {
+		return nil, fmt.Errorf("topology: peering needs a server to merge into")
 	}
 	client := opts.Client
 	if client == nil {
@@ -187,8 +144,6 @@ func NewPeering(opts PeeringOptions) (*Peering, error) {
 		opts:   opts,
 		client: client,
 		states: make(map[string]*SyncStatus, len(opts.Peers)),
-		lastV:  make(map[string]uint64, len(opts.Peers)),
-		pushed: make(map[string]bool, len(opts.Peers)),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -198,42 +153,25 @@ func NewPeering(opts PeeringOptions) (*Peering, error) {
 	return p, nil
 }
 
-// Epoch returns the boot nonce qualifying this peering's push sequence
-// numbers. A node serving its own contribution on /peer/contrib must
-// advertise the same epoch, so a position learned from a push and one
-// learned from a digest compare as the same stream.
-func (p *Peering) Epoch() uint64 { return p.opts.Epoch }
-
-// Start launches the periodic loop: pushes every Interval, and — when the
-// digest round is enabled — pulls every DigestInterval. One goroutine
-// drives both, so a push cycle and a pull round never interleave. Stop it
-// with Close.
+// Start launches the periodic loop: one digest round every Interval. Stop
+// it with Close.
 func (p *Peering) Start() {
 	go func() {
 		defer close(p.done)
-		push := time.NewTicker(p.opts.Interval)
-		defer push.Stop()
-		var pull <-chan time.Time
-		if p.opts.DigestInterval > 0 {
-			t := time.NewTicker(p.opts.DigestInterval)
-			defer t.Stop()
-			pull = t.C
-		}
+		tick := time.NewTicker(p.opts.Interval)
+		defer tick.Stop()
 		for {
 			select {
 			case <-p.stop:
 				return
-			case <-push.C:
-				p.Sync()
-			case <-pull:
+			case <-tick.C:
 				p.DigestSync()
 			}
 		}
 	}()
 }
 
-// Close stops the push loop after finishing any in-flight cycle. A final
-// Sync before Close hands the peers everything local.
+// Close stops the loop after finishing any in-flight round.
 func (p *Peering) Close() {
 	select {
 	case <-p.stop:
@@ -244,175 +182,83 @@ func (p *Peering) Close() {
 	<-p.done
 }
 
-// Sync runs one push cycle: export local state once, send it to every
-// peer whose copy is stale. Safe to call concurrently with the background
-// loop (cycles serialize on the internal mutex).
-func (p *Peering) Sync() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var version uint64
-	if p.opts.LocalVersion != nil {
-		version = p.opts.LocalVersion()
-	}
-	var state *server.PersistedState
-	var seq uint64
-	for _, peer := range p.opts.Peers {
-		st := p.states[peer]
-		if p.opts.LocalVersion != nil && p.pushed[peer] && p.lastV[peer] == version {
-			st.Skipped++
-			continue
-		}
-		if state == nil {
-			// One export serves every peer this cycle; the receiving side
-			// keys staleness on (epoch, seq), so all peers sharing one seq
-			// is exactly right. The stamp is the local version captured
-			// ABOVE, before the export: the exported content is at least
-			// that version (a concurrent ingest can only add), so the
-			// receiver's stored position is a floor and the worst a race
-			// costs is one redundant re-push — never a missed update. The
-			// digest round's /peer/digest self entry reads the same
-			// counter, so pushed and pulled positions agree.
-			state = p.opts.Export()
-			// Local bookkeeping like relay duplicate-guard positions stays
-			// local: a peer stores this update as OUR contribution and must
-			// not inherit our dedup state.
-			state.Relays = nil
-			if p.opts.LocalVersion != nil {
-				seq = version
-			} else {
-				p.seq++
-				seq = p.seq
-			}
-		}
-		if err := p.push(peer, seq, state); err != nil {
-			st.Errors++
-			st.LastError = err.Error()
-			if p.opts.Logf != nil {
-				p.opts.Logf("topology: peer push to %s: %v", peer, err)
-			}
-			continue
-		}
-		st.Pushes++
-		st.LastError = ""
-		st.LastSyncUnixNano = wallClock().UnixNano()
-		p.lastV[peer] = version
-		p.pushed[peer] = true
-	}
-}
-
-func (p *Peering) push(peer string, seq uint64, state *server.PersistedState) error {
-	blob, err := json.Marshal(PeerUpdate{
-		Origin: p.opts.Origin,
-		Epoch:  p.opts.Epoch,
-		Seq:    seq,
-		State:  state,
-	})
-	if err != nil {
-		return fmt.Errorf("topology: encoding peer update: %w", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, peer+"/peer/merge", bytes.NewReader(blob))
-	if err != nil {
-		return fmt.Errorf("topology: building merge request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if p.opts.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+p.opts.Token)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	// A stale ack (applied=false) is success: the peer already holds a
-	// contribution at least this new, which is all anti-entropy wants.
-	_, err = decodePeerAck(resp)
-	return err
-}
-
 // DigestSync runs one pull round: fetch every peer's digest, diff it
 // against the positions this node already holds, and fetch + apply only
 // the missing or newer contributions. Safe to call concurrently with the
-// background loop and with Sync (rounds serialize on the internal mutex);
-// deterministic tests drive it manually.
+// background loop (rounds serialize on the internal mutex).
 func (p *Peering) DigestSync() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.opts.Local == nil || p.opts.Apply == nil {
-		return
-	}
 	// One holdings snapshot serves the whole round; applied fetches update
 	// it so a contribution available from several peers is fetched once.
 	held := make(map[string]server.PeerSeq)
-	for _, e := range p.opts.Local() {
-		held[e.Origin] = server.PeerSeq{Epoch: e.Epoch, Seq: e.Seq}
+	for _, c := range p.opts.Server.PeerStatus().Contributions {
+		held[c.Origin] = server.PeerSeq{Epoch: c.Epoch, Seq: c.Seq}
 	}
 	for _, peer := range p.opts.Peers {
 		st := p.states[peer]
-		var digest Digest
-		if err := p.getJSON(peer+"/peer/digest", &digest); err != nil {
+		if err := p.pull(peer, st, held); err != nil {
 			st.PullErrors++
 			st.LastError = err.Error()
 			if p.opts.Logf != nil {
-				p.opts.Logf("topology: peer digest from %s: %v", peer, err)
+				p.opts.Logf("topology: digest round against %s: %v", peer, err)
 			}
 			continue
 		}
-		failed := false
-		for _, e := range digest.Entries {
-			if e.Origin == p.opts.Origin {
-				// Never fetch our own contribution back: local state is
-				// authoritative for it, and a peer's stored copy is at best
-				// an older echo.
-				continue
-			}
-			if pos, ok := held[e.Origin]; ok && pos.Covers(e.Epoch, e.Seq) {
-				continue
-			}
-			upd, err := p.fetchContrib(peer, e.Origin)
-			if err == nil && upd.Origin != e.Origin {
-				err = fmt.Errorf("topology: peer %s served origin %q for a %q contribution fetch", peer, upd.Origin, e.Origin)
-			}
-			if err == nil {
-				var applied bool
-				applied, err = p.opts.Apply(upd)
-				if err == nil {
-					if applied {
-						st.Fetched++
-					}
-					// Covered either way: an applied=false means local state
-					// moved past the digest mid-round, which is just as held.
-					held[e.Origin] = server.PeerSeq{Epoch: upd.Epoch, Seq: upd.Seq}
-				}
-			}
-			if err != nil {
-				failed = true
-				st.LastError = err.Error()
-				if p.opts.Logf != nil {
-					p.opts.Logf("topology: peer contrib %q from %s: %v", e.Origin, peer, err)
-				}
-			}
-		}
-		if failed {
-			st.PullErrors++
-		} else {
-			st.Pulls++
-		}
+		st.Pulls++
+		st.LastError = ""
+		st.LastSyncUnixNano = wallClock().UnixNano()
 	}
 }
 
-// fetchContrib retrieves one origin's contribution from peer as the same
-// PeerUpdate shape a push carries, so Apply and the inbound merge route
-// share semantics exactly.
-func (p *Peering) fetchContrib(peer, origin string) (PeerUpdate, error) {
-	var upd PeerUpdate
-	err := p.getJSON(peer+"/peer/contrib?origin="+url.QueryEscape(origin), &upd)
-	return upd, err
+// pull runs one peer's share of a round and returns the last failure. A
+// failed contrib fetch does not stop the others: each origin heals
+// independently.
+func (p *Peering) pull(peer string, st *SyncStatus, held map[string]server.PeerSeq) error {
+	var digest Digest
+	if err := p.getJSON(peer+"/peer/digest", &digest); err != nil {
+		return err
+	}
+	var failed error
+	for _, e := range digest.Entries {
+		if e.Origin == p.opts.Origin {
+			// Never fetch our own contribution back: local state is
+			// authoritative for it, and a peer's stored copy is at best an
+			// older echo.
+			continue
+		}
+		if pos, ok := held[e.Origin]; ok && pos.Covers(e.Epoch, e.Seq) {
+			continue
+		}
+		var upd PeerUpdate
+		err := p.getJSON(peer+"/peer/contrib?origin="+url.QueryEscape(e.Origin), &upd)
+		if err == nil && upd.Origin != e.Origin {
+			err = fmt.Errorf("topology: peer %s served origin %q for a %q contribution fetch", peer, upd.Origin, e.Origin)
+		}
+		var applied bool
+		if err == nil {
+			applied, err = p.opts.Server.MergePeerState(upd.Origin, upd.Epoch, upd.Seq, upd.State)
+		}
+		if err != nil {
+			failed = fmt.Errorf("contribution %q: %w", e.Origin, err)
+			continue
+		}
+		if applied {
+			st.Fetched++
+		}
+		// Covered either way: applied=false means the peer answered with a
+		// position this node already holds, which is just as held.
+		held[e.Origin] = server.PeerSeq{Epoch: upd.Epoch, Seq: upd.Seq}
+	}
+	return failed
 }
 
-// getJSON is an authenticated GET + JSON decode against a peer route.
+// getJSON is an authenticated GET + JSON decode against a peer route,
+// reading at most MaxPeerBodyBytes of the body.
 func (p *Peering) getJSON(u string, v any) error {
 	req, err := http.NewRequest(http.MethodGet, u, nil)
 	if err != nil {
-		return fmt.Errorf("topology: building digest request: %w", err)
+		return fmt.Errorf("topology: building peer request: %w", err)
 	}
 	if p.opts.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+p.opts.Token)
@@ -426,10 +272,17 @@ func (p *Peering) getJSON(u string, v any) error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("%s: status %d: %s", u, resp.StatusCode, msg)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxPeerBodyBytes+1))
+	if err != nil {
+		return fmt.Errorf("%s: reading body: %w", u, err)
+	}
+	if len(body) > MaxPeerBodyBytes {
+		return fmt.Errorf("%s: body exceeds the %d-byte peer payload cap", u, MaxPeerBodyBytes)
+	}
+	return json.Unmarshal(body, v)
 }
 
-// Status returns the per-peer outbound sync status, sorted by target URL.
+// Status returns the per-peer anti-entropy status, sorted by target URL.
 func (p *Peering) Status() []SyncStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -10,9 +10,10 @@
 //	          the P2B1 wire to a downstream analyzer instead of a local
 //	          server
 //	analyzer  analyzer only as far as agents are concerned: it accepts
-//	          relay batches on /peer/ingest and exchanges merged model
-//	          state with sibling analyzers on /peer/merge, so every
-//	          analyzer converges to the fleet-wide model
+//	          relay batches on /peer/ingest and pulls sibling analyzers'
+//	          model state through the digest round (/peer/digest and
+//	          /peer/contrib), so every analyzer converges to the
+//	          fleet-wide model
 //
 // Discovery is a bulletin board (the registry): nodes announce themselves
 // with a name, role and URL, agents fetch the board and pick a relay
@@ -37,11 +38,8 @@ import (
 var wallClock = time.Now
 
 // BootEpoch mints a fresh boot nonce for an (epoch, seq) replication
-// stream: forwarder cursors, peering pushes, and the digest round all
-// qualify sequence numbers with one. Nodes that serve their own
-// contribution on /peer/contrib mint a single epoch per boot and share it
-// between the push loop and the pull surface, so a puller and a pushee
-// agree on what position they hold.
+// stream: forwarder cursors and the contribution an analyzer serves on
+// /peer/digest and /peer/contrib both qualify sequence numbers with one.
 func BootEpoch() uint64 {
 	return uint64(wallClock().UnixNano())
 }
