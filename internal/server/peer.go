@@ -12,7 +12,8 @@
 //
 //   - Peer contributions (MergePeerState): full local-state exports from
 //     sibling analyzers, stored per origin and REPLACED when a newer
-//     (epoch, seq) arrives. Replacement, not addition, is the idempotency
+//     (epoch, seq) arrives — ordered, so an older epoch relayed by a third
+//     analyzer can never displace a newer one. Replacement, not addition, is the idempotency
 //     guard: applying one update twice, or applying a newer one after an
 //     older one, leaves exactly one copy of the origin's data. Snapshot
 //     builders fold the stored contributions in after the local shards, in
@@ -34,20 +35,32 @@ import (
 
 // PeerSeq is a per-origin replication position: the boot epoch of the
 // origin process and the last sequence number applied within it. Epochs
-// exist because sequence numbers restart when the origin restarts; an
-// update under a different epoch is always accepted.
+// exist because sequence numbers restart when the origin restarts.
 type PeerSeq struct {
 	Epoch uint64 `json:"epoch"`
 	Seq   uint64 `json:"seq"`
 }
 
-// Covers reports whether an incoming (epoch, seq) is already covered by
-// p: same epoch and not newer. A different epoch is never covered — the
-// origin rebooted and restarted its sequence. Both the inbound merge
-// guard and the pull side of the digest round use this one predicate, so
-// "would fetch" and "would reject" can never disagree.
+// Covers reports whether an incoming relay batch position (epoch, seq) is
+// already covered by p: same epoch and not newer. A different epoch is
+// never covered — the relay rebooted and restarted its sequence, and its
+// batches are delivered directly by that relay, so nothing older can
+// arrive under a stale epoch once a newer one was seen.
 func (p PeerSeq) Covers(epoch, seq uint64) bool {
 	return p.Epoch == epoch && seq <= p.Seq
+}
+
+// Supersedes reports whether a contribution held at p is at least as new
+// as one offered at (epoch, seq), comparing epochs first. Contributions
+// travel transitively — a third analyzer may still serve an origin's
+// pre-restart copy after the origin itself serves a newer epoch — so the
+// order must be total: an equality-only test would let the two copies
+// replace each other every round. Epochs are boot-time wall-clock
+// nanoseconds (topology.BootEpoch), so a restart orders after the boot it
+// replaces. The merge guard and the pull side of the digest round share
+// this predicate, so "would fetch" and "would reject" never disagree.
+func (p PeerSeq) Supersedes(epoch, seq uint64) bool {
+	return p.Epoch > epoch || (p.Epoch == epoch && p.Seq >= seq)
 }
 
 // peerContribution is one sibling analyzer's stored local-state export.
@@ -140,9 +153,9 @@ func (s *Server) NoteRelayDuplicate() {
 
 // MergePeerState stores one sibling analyzer's local-state export,
 // replacing any older contribution from the same origin. It returns
-// (false, nil) when the update is stale — same epoch, sequence not newer
-// than what is stored — which is how a double-applied contribution is
-// rejected. The state's shape must match this server's configuration.
+// (false, nil) when the update is stale — an older epoch, or the same
+// epoch with a sequence not newer than what is stored — which is how a
+// double-applied or out-of-date contribution is rejected. The state's shape must match this server's configuration.
 func (s *Server) MergePeerState(origin string, epoch, seq uint64, ps *PersistedState) (bool, error) {
 	if origin == "" {
 		return false, fmt.Errorf("server: peer update has no origin")
@@ -167,7 +180,7 @@ func (s *Server) MergePeerState(origin string, epoch, seq uint64, ps *PersistedS
 		}
 	}
 	s.peers.mu.Lock()
-	if cur, ok := s.peers.contribs[origin]; ok && cur.pos.Covers(epoch, seq) {
+	if cur, ok := s.peers.contribs[origin]; ok && cur.pos.Supersedes(epoch, seq) {
 		s.peers.mu.Unlock()
 		s.peers.mergesRejected.Add(1)
 		return false, nil

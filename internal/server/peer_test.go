@@ -124,6 +124,44 @@ func TestMergePeerStateDoubleApplyRejected(t *testing.T) {
 	}
 }
 
+// An origin's restart mints a higher epoch; a third analyzer may still
+// offer the pre-restart copy afterwards. Epochs are ordered, so the older
+// copy is rejected instead of replacing the newer one.
+func TestMergePeerStateOlderEpochRejected(t *testing.T) {
+	cfg := peerTestConfig()
+	before, after, b := New(cfg), New(cfg), New(cfg)
+	for _, batch := range integralBatches(3, 24, cfg, 5) {
+		before.Deliver(batch)
+		after.Deliver(batch)
+	}
+	for _, batch := range integralBatches(2, 24, cfg, 6) {
+		after.Deliver(batch)
+	}
+
+	if applied, err := b.MergePeerState("analyzer-a", 10, 7, before.ExportState()); err != nil || !applied {
+		t.Fatalf("pre-restart merge: applied=%v err=%v", applied, err)
+	}
+	// The restarted origin's sequence starts over under a higher epoch.
+	if applied, err := b.MergePeerState("analyzer-a", 20, 1, after.ExportState()); err != nil || !applied {
+		t.Fatalf("post-restart merge: applied=%v err=%v", applied, err)
+	}
+	assertSnapshotsBitIdentical(t, after, b)
+
+	// The pre-restart copy, even at a higher seq, is stale.
+	for _, seq := range []uint64{7, 99} {
+		if applied, err := b.MergePeerState("analyzer-a", 10, seq, before.ExportState()); err != nil || applied {
+			t.Fatalf("older-epoch merge at seq %d: applied=%v err=%v, want rejection", seq, applied, err)
+		}
+	}
+	assertSnapshotsBitIdentical(t, after, b)
+	if pos, _, _ := b.PeerContribution("analyzer-a"); pos != (PeerSeq{Epoch: 20, Seq: 1}) {
+		t.Fatalf("stored position = %+v, want the post-restart epoch", pos)
+	}
+	if ma, mr, _, _ := b.PeerCounters(); ma != 2 || mr != 2 {
+		t.Fatalf("merge counters = applied %d rejected %d, want 2/2", ma, mr)
+	}
+}
+
 func TestMergePeerStateAdditiveWithLocal(t *testing.T) {
 	cfg := peerTestConfig()
 	local := integralBatches(4, 24, cfg, 10)

@@ -185,6 +185,68 @@ func TestDigestRoundHealsTransitively(t *testing.T) {
 	}
 }
 
+// A full mesh of three analyzers where B and C each list A first. After A
+// restarts under a higher epoch, B pulls A's new copy and then sees C's
+// digest still advertising A's pre-restart copy (and C the same from B).
+// Epochs are ordered, so the stale copy is never fetched back over the new
+// one: within two rounds both hold A's new epoch and serve A's model.
+func TestDigestRoundKeepsRestartedOriginsNewerEpoch(t *testing.T) {
+	batches := eqBatches(10, 77)
+	partA, partB, partC, partA2 := batches[:3], batches[3:5], batches[5:7], batches[7:]
+
+	single := newDigestNode(t, "single", 1, 5, "")
+	for _, part := range [][][]transport.Tuple{partA, partB, partC, partA2} {
+		single.ingest(part)
+	}
+
+	a := newDigestNode(t, "analyzer-a", 7, 10, "")
+	a.ingest(partA)
+	b := newDigestNode(t, "analyzer-b", 8, 11, "")
+	b.ingest(partB)
+	c := newDigestNode(t, "analyzer-c", 9, 12, "")
+	c.ingest(partC)
+	round := func(pullers ...*topology.Peering) {
+		for i := 0; i < 2; i++ {
+			for _, p := range pullers {
+				p.DigestSync()
+			}
+		}
+	}
+	round(
+		newPuller(t, b.srv, "analyzer-b", "", a.url, c.url),
+		newPuller(t, c.srv, "analyzer-c", "", a.url, b.url),
+	)
+	for name, srv := range map[string]*server.Server{"B": b.srv, "C": c.srv} {
+		if pos, _, ok := srv.PeerContribution("analyzer-a"); !ok || pos.Epoch != 7 {
+			t.Fatalf("%s holds A at %+v (ok=%v) before the restart, want epoch 7", name, pos, ok)
+		}
+	}
+
+	// A restarts under a higher epoch: it recovers what it had ingested
+	// (a durable analyzer's checkpoint) and ingests more.
+	a2 := newDigestNode(t, "analyzer-a", 70, 10, "")
+	a2.ingest(partA)
+	a2.ingest(partA2)
+	round(
+		newPuller(t, b.srv, "analyzer-b", "", a2.url, c.url),
+		newPuller(t, c.srv, "analyzer-c", "", a2.url, b.url),
+		newPuller(t, a2.srv, "analyzer-a", "", b.url, c.url),
+	)
+
+	want := fetchModel(t, single.url)
+	if got := fetchModel(t, a2.url); got != want {
+		t.Errorf("restarted A diverged from the single node:\n got %s\nwant %s", got, want)
+	}
+	for name, n := range map[string]*digestNode{"B": b, "C": c} {
+		if pos, _, ok := n.srv.PeerContribution("analyzer-a"); !ok || pos.Epoch != 70 {
+			t.Errorf("%s holds A at %+v (ok=%v) after the restart, want epoch 70", name, pos, ok)
+		}
+		if got := fetchModel(t, n.url); got != want {
+			t.Errorf("%s diverged from the single node after A's restart:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
 // The digest and contrib routes hand out model state, so they demand the
 // same bearer token the write routes do.
 func TestDigestRoutesRequireToken(t *testing.T) {

@@ -8,7 +8,8 @@
 // full merged export of one analyzer's own shards (what it ingested itself
 // — relay batches and direct reports — never what it learned from peers),
 // tagged (origin, epoch, seq). The puller stores at most one contribution
-// per origin and replaces it when a newer (epoch, seq) arrives.
+// per origin and replaces it only when a newer (epoch, seq) arrives, in
+// (epoch, seq) order.
 // Replacement is what makes the protocol idempotent and order-independent:
 // fetching the same contribution twice, or fetching contributions out of
 // order, converges to the same stored state with no double counting and no
@@ -48,8 +49,8 @@ type PeerUpdate struct {
 	// Epoch is the contributor's boot nonce; sequence numbers reset with it.
 	Epoch uint64 `json:"epoch"`
 	// Seq is the contributor's local version when the state was exported.
-	// A puller holding (epoch, seq') with seq' >= seq ignores the update
-	// as stale.
+	// A puller holding a newer epoch, or (epoch, seq') with seq' >= seq,
+	// ignores the update as stale.
 	Seq uint64 `json:"seq"`
 	// State is the contributor's merged local accumulator export — the
 	// same additive sufficient statistics a checkpoint stores.
@@ -227,7 +228,9 @@ func (p *Peering) pull(peer string, st *SyncStatus, held map[string]server.PeerS
 			// older echo.
 			continue
 		}
-		if pos, ok := held[e.Origin]; ok && pos.Covers(e.Epoch, e.Seq) {
+		if pos, ok := held[e.Origin]; ok && pos.Supersedes(e.Epoch, e.Seq) {
+			// Held at this position or newer — including a newer epoch
+			// than a third party's pre-restart copy of the origin.
 			continue
 		}
 		var upd PeerUpdate
@@ -245,10 +248,10 @@ func (p *Peering) pull(peer string, st *SyncStatus, held map[string]server.PeerS
 		}
 		if applied {
 			st.Fetched++
+			held[e.Origin] = server.PeerSeq{Epoch: upd.Epoch, Seq: upd.Seq}
 		}
-		// Covered either way: applied=false means the peer answered with a
-		// position this node already holds, which is just as held.
-		held[e.Origin] = server.PeerSeq{Epoch: upd.Epoch, Seq: upd.Seq}
+		// applied=false means the peer answered with a position this node
+		// already supersedes, so held stays as it is.
 	}
 	return failed
 }
