@@ -306,41 +306,31 @@ func main() {
 		boardStatus = hb.Status
 	}
 
+	opts := httpapi.NodeOptions{
+		WALPolicy: policy,
+		Metrics:   reg,
+		Admission: adm,
+		Role:      string(role),
+		Board:     boardStatus,
+		Overload:  &ovProbe,
+	}
+	if mgr != nil {
+		opts.Ingest = mgr
+		opts.Checkpoint = mgr.Checkpoint
+		opts.Health = func() any { return mgr.Info() }
+	}
 	var handler http.Handler
 	if role == topology.RoleRelay {
-		ropts := httpapi.RelayOptions{
-			Admission: adm,
-			WALPolicy: policy,
-			Metrics:   reg,
-			Shapes:    httpapi.ModelShapes{K: *k, Arms: *arms, D: *d},
-			Board:     boardStatus,
-			Overload:  &ovProbe,
-		}
-		if mgr != nil {
-			ropts.Ingest = mgr
-			ropts.Checkpoint = mgr.Checkpoint
-			ropts.Health = func() any { return mgr.Info() }
-		}
-		handler = httpapi.NewRelayHandler(shuf, fwd, ropts)
+		opts.Shapes = httpapi.ModelShapes{K: *k, Arms: *arms, D: *d}
+		handler = httpapi.NewRelayHandler(shuf, fwd, opts)
 	} else {
-		opts := httpapi.NodeOptions{
-			WALPolicy: policy,
-			Metrics:   reg,
-			Admission: adm,
-			Role:      string(role),
-			Board:     boardStatus,
-			Overload:  &ovProbe,
-			Peer: &httpapi.PeerOptions{
-				Origin: *name,
-				Token:  *peerToken,
-				Epoch:  topology.BootEpoch(),
-				Export: srv.ExportState,
-			},
+		opts.Peer = &httpapi.PeerOptions{
+			Origin: *name,
+			Token:  *peerToken,
+			Epoch:  topology.BootEpoch(),
+			Export: srv.ExportState,
 		}
 		if mgr != nil {
-			opts.Ingest = mgr
-			opts.Checkpoint = mgr.Checkpoint
-			opts.Health = func() any { return mgr.Info() }
 			// Relay batches ride the same WAL as agent reports, so a crash
 			// between accept and apply replays them instead of losing them.
 			opts.Peer.Deliver = mgr.DeliverPeer

@@ -400,7 +400,7 @@ func (b *BatchingClient) send(pb pendingBatch) error {
 		switch {
 		case status == http.StatusAccepted:
 			return nil
-		case retryableStatus(status):
+		case transport.RetryableStatus(status):
 			if retryAfter > delay {
 				// The server knows its own recovery horizon better than our
 				// doubling ladder; adopt its hint (capped) as the next base.
@@ -413,16 +413,6 @@ func (b *BatchingClient) send(pb pendingBatch) error {
 		}
 	}
 	return lastErr
-}
-
-// retryableStatus reports whether a batch POST answered with status is
-// worth resending: the throttle statuses (429, 503) and request timeout
-// (408) are explicit "try again later", and any 5xx is a server-side
-// condition the same bytes may outlive.
-func retryableStatus(status int) bool {
-	return status == http.StatusTooManyRequests ||
-		status == http.StatusRequestTimeout ||
-		status >= 500
 }
 
 // parseRetryAfter decodes a Retry-After header: delay-seconds or an

@@ -99,26 +99,6 @@ func TestBreakerNilIsNoop(t *testing.T) {
 	}
 }
 
-func TestRetryableStatus(t *testing.T) {
-	for _, tc := range []struct {
-		status int
-		want   bool
-	}{
-		{http.StatusTooManyRequests, true},
-		{http.StatusRequestTimeout, true},
-		{http.StatusInternalServerError, true},
-		{http.StatusServiceUnavailable, true},
-		{http.StatusBadRequest, false},
-		{http.StatusNotFound, false},
-		{http.StatusRequestEntityTooLarge, false},
-		{http.StatusAccepted, false},
-	} {
-		if got := retryableStatus(tc.status); got != tc.want {
-			t.Errorf("retryableStatus(%d) = %v, want %v", tc.status, got, tc.want)
-		}
-	}
-}
-
 func TestParseRetryAfter(t *testing.T) {
 	if got := parseRetryAfter(""); got != 0 {
 		t.Errorf("empty = %v, want 0", got)

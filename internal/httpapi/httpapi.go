@@ -110,8 +110,10 @@ func (si shufflerIngestor) SubmitTuples(ts []transport.Tuple) error {
 }
 func (si shufflerIngestor) Flush() error { si.s.Flush(); return nil }
 
-// NodeOptions wires optional durability and overload-protection hooks
-// into the node handler.
+// NodeOptions wires optional durability, overload-protection and fleet
+// hooks into a node handler. One struct configures every role: a handler
+// built around a server (combined or analyzer) reads all fields but
+// Shapes, a relay reads all fields but Role and Peer.
 type NodeOptions struct {
 	// Ingest handles report admission. Nil submits straight to the
 	// shuffler (no durability).
@@ -129,17 +131,19 @@ type NodeOptions struct {
 	WALPolicy WALPolicy
 	// Metrics, when non-nil, instruments every route (request counts by
 	// status class, latency and body-size histograms) plus the shuffler,
-	// server and overload counters on this registry and mounts it as
-	// GET /metrics in Prometheus text exposition format. The collectors
-	// read the same atomics and closures the JSON stats routes serialize,
-	// so /metrics, /healthz and the stats routes can never disagree.
+	// overload and role counters (server or forwarder) on this registry
+	// and mounts it as GET /metrics in Prometheus text exposition format.
+	// The collectors read the same atomics and closures the JSON stats
+	// routes serialize, so /metrics, /healthz and the stats routes can
+	// never disagree.
 	Metrics *metrics.Registry
-	// Role names the node's fleet role on /healthz and /server/stats.
-	// Empty means "combined", the single-process default.
+	// Role names a model-serving node's fleet role on /healthz and
+	// /server/stats. Empty means "combined", the single-process default; a
+	// relay always reports "relay".
 	Role string
-	// Peer, when non-nil, mounts the analyzer-side peer routes
-	// (/peer/ingest, /peer/digest, /peer/contrib, /peer/status) and adds
-	// the "peers" section to /healthz and /server/stats.
+	// Peer, when non-nil on a model-serving node, mounts the analyzer-side
+	// peer routes (/peer/ingest, /peer/digest, /peer/contrib, /peer/status)
+	// and adds the "peers" section to /healthz and /server/stats.
 	Peer *PeerOptions
 	// Board, when non-nil, reports the node's bulletin-board registration
 	// health (typically a topology.Heartbeat's Status method): a "board"
@@ -153,7 +157,49 @@ type NodeOptions struct {
 	// it to publish the degrade flag on the bulletin board — the state
 	// lives inside the handler, and an out-param beats re-deriving it.
 	Overload *func() OverloadStats
+	// Shapes are the fleet's model dimensions a relay advertises on
+	// /healthz, so agent preflights validate against a relay exactly as
+	// against a combined node. Read only by a relay: it holds no model to
+	// derive them from.
+	Shapes ModelShapes
 }
+
+// RelayOptions configures a relay handler. It is an alias, not a type of
+// its own — one options struct configures every role — kept so callers
+// that spell it (the benchmark module among them) keep compiling.
+type RelayOptions = NodeOptions
+
+// NodeHealth is the /healthz body of every role. The model-serving roles
+// fill the read-path sections, a relay the downstream ones; sections a
+// role does not have are omitted.
+type NodeHealth struct {
+	Status string `json:"status"`
+	Role   string `json:"role"`
+	// Shapes ride along so a fleet's preflight can validate its
+	// -k/-arms/-d flags with this one cheap probe instead of downloading
+	// full model payloads.
+	Model ModelShapes `json:"model"`
+	// Downstream and Forward are a relay's: the analyzer it forwards to
+	// and the forward counters.
+	Downstream string                 `json:"downstream,omitempty"`
+	Forward    *topology.ForwardStats `json:"forward,omitempty"`
+	// Read-path health of a model-serving node: snapshot-cache and
+	// encoded-payload counters, so a fleet operator can see from one probe
+	// whether model GETs are being served from shared builds (hits/304s
+	// climbing) or are rebuilding per request.
+	Snapshots  *SnapshotCacheStats `json:"snapshots,omitempty"`
+	ModelReads *ModelReadStats     `json:"model_reads,omitempty"`
+	Overload   *OverloadStats      `json:"overload,omitempty"`
+	Peers      *PeerHealth         `json:"peers,omitempty"`
+	// Board is the node's own registration health on the bulletin board —
+	// whether discovery can find it — not the board process's health.
+	Board   *topology.HeartbeatStatus `json:"board,omitempty"`
+	Persist any                       `json:"persist,omitempty"`
+}
+
+// RelayHealth is the relay's /healthz body, an alias kept for callers
+// that decode it by that name.
+type RelayHealth = NodeHealth
 
 // NewNodeHandler mounts a shuffler and a server on one mux under the
 // /shuffler/ and /server/ prefixes, plus a /healthz probe — the layout
@@ -166,6 +212,25 @@ func NewNodeHandler(shuf *shuffler.Shuffler, srv *server.Server) http.Handler {
 // admitted through opts.Ingest, POST /admin/checkpoint forces a checkpoint,
 // and /healthz reports persistence status alongside liveness.
 func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOptions) http.Handler {
+	return newHandler(shuf, srv, nil, opts)
+}
+
+// NewRelayHandler mounts the HTTP surface of a relay node: the full
+// /shuffler/ route set (agents cannot tell a relay from a combined node),
+// /healthz naming the relay role and the forward counters, optional
+// /admin/checkpoint, and /metrics when a registry is given. fwd is the
+// forwarder wired as the shuffler's sink; its counters are what /healthz
+// and the p2b_forward_* families report.
+func NewRelayHandler(shuf *shuffler.Shuffler, fwd *topology.Forwarder, opts RelayOptions) http.Handler {
+	return newHandler(shuf, nil, fwd, opts)
+}
+
+// newHandler builds the handler of every role. Exactly one of srv and fwd
+// is non-nil: a server makes a model-serving node (/server/ and, with
+// opts.Peer, /peer/ are mounted), a forwarder makes a relay. The ingest
+// path, the overload view, /shuffler/, /healthz, /metrics and
+// /admin/checkpoint are the same for both.
+func newHandler(shuf *shuffler.Shuffler, srv *server.Server, fwd *topology.Forwarder, opts NodeOptions) http.Handler {
 	ing := opts.Ingest
 	if ing == nil {
 		ing = shufflerIngestor{shuf}
@@ -195,71 +260,63 @@ func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOp
 		*opts.Overload = overload
 	}
 	role := opts.Role
-	if role == "" {
-		role = "combined"
+	if fwd != nil {
+		role = string(topology.RoleRelay)
+	} else if role == "" {
+		role = string(topology.RoleCombined)
 	}
 	// peers snapshots the one replication view every surface (/healthz,
 	// /server/stats, /peer/status, and — through the same underlying
 	// atomics — /metrics) reports. Nil when the node has no peer surface;
 	// the sections are then omitted everywhere.
 	var peers func() *PeerHealth
-	if opts.Peer != nil {
-		peers = func() *PeerHealth {
-			ph := &PeerHealth{PeerStatus: srv.PeerStatus()}
-			if opts.Peer.Sync != nil {
-				ph.Sync = opts.Peer.Sync()
+	var sh *serverHandler
+	if srv != nil {
+		if opts.Peer != nil {
+			peers = func() *PeerHealth {
+				ph := &PeerHealth{PeerStatus: srv.PeerStatus()}
+				if opts.Peer.Sync != nil {
+					ph.Sync = opts.Peer.Sync()
+				}
+				return ph
 			}
-			return ph
 		}
+		sh = newServerHandler(srv)
+		sh.adm = opts.Admission
+		sh.overload = overload
+		sh.role = role
+		sh.peers = peers
 	}
 	mux := http.NewServeMux()
-	sh := newServerHandler(srv)
-	sh.adm = opts.Admission
-	sh.overload = overload
-	sh.role = role
-	sh.peers = peers
 	var nm *nodeMetrics
 	if opts.Metrics != nil {
-		nm = newNodeMetrics(opts.Metrics, shuf, srv, sh, overload, opts.Peer, opts.Board)
-		sh.nm = nm
+		nm = newNodeMetrics(opts.Metrics, shuf, sh, fwd, overload, opts.Peer, opts.Board)
 		mux.Handle("GET /metrics", metrics.Handler(opts.Metrics))
 	}
 	mux.Handle("/shuffler/", http.StripPrefix("/shuffler", newShufflerHandlerOpts(shuf, ing, opts.Admission, overload, nm)))
-	mux.Handle("/server/", http.StripPrefix("/server", sh.routes()))
-	if opts.Peer != nil {
-		mux.Handle("/peer/", http.StripPrefix("/peer", newPeerHandler(srv, opts.Peer, opts.Admission, nm, peers)))
+	if sh != nil {
+		sh.nm = nm
+		mux.Handle("/server/", http.StripPrefix("/server", sh.routes()))
+		if opts.Peer != nil {
+			mux.Handle("/peer/", http.StripPrefix("/peer", newPeerHandler(srv, opts.Peer, opts.Admission, nm, peers)))
+		}
 	}
 	mux.HandleFunc("GET /healthz", nm.wrap("healthz", func(w http.ResponseWriter, r *http.Request) {
-		cfg := srv.Config()
-		// Atomic counters only — the preflight probe every device hits
-		// must not lock-sweep the ingestion shards like full Stats does.
-		snapHits, snapBuilds := srv.SnapshotCacheStats()
-		status := struct {
-			Status string      `json:"status"`
-			Role   string      `json:"role"`
-			Model  ModelShapes `json:"model"`
-			// Read-path health: snapshot-cache and encoded-payload
-			// counters, so a fleet operator can see from one probe whether
-			// model GETs are being served from shared builds (hits/304s
-			// climbing) or are rebuilding per request.
-			Snapshots  SnapshotCacheStats `json:"snapshots"`
-			ModelReads ModelReadStats     `json:"model_reads"`
-			Overload   *OverloadStats     `json:"overload,omitempty"`
-			Peers      *PeerHealth        `json:"peers,omitempty"`
-			// Board is the node's own registration health on the bulletin
-			// board — whether discovery can find it — not the board
-			// process's health.
-			Board   *topology.HeartbeatStatus `json:"board,omitempty"`
-			Persist any                       `json:"persist,omitempty"`
-		}{
-			Status: "ok",
-			Role:   role,
-			// Shapes ride along so a fleet's preflight can validate its
-			// -k/-arms/-d flags with this one cheap probe instead of
-			// downloading full model payloads.
-			Model:      ModelShapes{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Version: srv.ModelVersion()},
-			Snapshots:  SnapshotCacheStats{Hits: snapHits, Builds: snapBuilds},
-			ModelReads: sh.ReadStats(),
+		status := NodeHealth{Status: "ok", Role: role}
+		if sh != nil {
+			cfg := srv.Config()
+			// Atomic counters only — the preflight probe every device hits
+			// must not lock-sweep the ingestion shards like full Stats does.
+			snapHits, snapBuilds := srv.SnapshotCacheStats()
+			reads := sh.ReadStats()
+			status.Model = ModelShapes{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Version: srv.ModelVersion()}
+			status.Snapshots = &SnapshotCacheStats{Hits: snapHits, Builds: snapBuilds}
+			status.ModelReads = &reads
+		} else {
+			fs := fwd.Stats()
+			status.Model = opts.Shapes
+			status.Downstream = fwd.Downstream()
+			status.Forward = &fs
 		}
 		if peers != nil {
 			status.Peers = peers()
@@ -1075,10 +1132,10 @@ type SnapshotCacheStats struct {
 	Builds int64 `json:"builds"`
 }
 
-// Health is the decoded /healthz response of a node. Role names the
-// node's fleet role ("combined", "relay" or "analyzer"; empty from nodes
-// predating roles), and Peers carries the replication status of a node
-// with a peer surface.
+// Health is the client's decoded view of a node's /healthz body
+// (NodeHealth, served by every role). Role names the node's fleet role
+// ("combined", "relay" or "analyzer"; empty from nodes predating roles),
+// and Peers carries the replication status of a node with a peer surface.
 type Health struct {
 	Status     string                    `json:"status"`
 	Role       string                    `json:"role,omitempty"`

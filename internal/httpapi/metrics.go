@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"p2b/internal/metrics"
-	"p2b/internal/server"
 	"p2b/internal/shuffler"
 	"p2b/internal/topology"
 )
@@ -82,10 +81,9 @@ var instrumentedRoutes = []struct {
 	{"peer_contrib", false},
 }
 
-// newRouteInstruments registers the per-route HTTP families. Both the node
-// and the relay handler register the full route set — unused routes just
-// stay at zero, and a fixed set means dashboards never chase
-// role-dependent series names.
+// newRouteInstruments registers the per-route HTTP families. Every role
+// registers the full route set — unused routes just stay at zero, and a
+// fixed set means dashboards never chase role-dependent series names.
 func newRouteInstruments(reg *metrics.Registry) map[string]*routeInstruments {
 	routes := map[string]*routeInstruments{}
 	for _, r := range instrumentedRoutes {
@@ -109,9 +107,8 @@ func newRouteInstruments(reg *metrics.Registry) map[string]*routeInstruments {
 	return routes
 }
 
-// registerShufflerMetrics registers the shuffler pipeline families —
-// shared verbatim between the combined/analyzer node and the relay, whose
-// shuffler behaves identically.
+// registerShufflerMetrics registers the shuffler pipeline families every
+// role shares: a relay's shuffler behaves exactly like a combined node's.
 func registerShufflerMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler) {
 	reg.CounterFunc("p2b_shuffler_received_total", "",
 		"Envelopes submitted to the shuffler.",
@@ -167,12 +164,15 @@ func registerOverloadMetrics(reg *metrics.Registry, overload func() OverloadStat
 }
 
 // newNodeMetrics registers the node's metric families on reg and wires the
-// push-style instruments into the shuffler. overload is the same closure
-// /healthz and the stats routes read; nil means the node is unbounded and
-// non-degradable, and the overload families are omitted (exactly like the
-// JSON sections). board is the registration-health closure the /healthz
-// "board" section serves; nil (no bulletin board) omits its families.
-func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.Server, sh *serverHandler, overload func() OverloadStats, peer *PeerOptions, board func() topology.HeartbeatStatus) *nodeMetrics {
+// push-style instruments into the shuffler. Every role registers the route
+// and shuffler families; sh (a model-serving node) adds the server, model
+// and replication families, fwd (a relay) the forward families in their
+// place. overload is the same closure /healthz and the stats routes read;
+// nil means the node is unbounded and non-degradable, and the overload
+// families are omitted (exactly like the JSON sections). board is the
+// registration-health closure the /healthz "board" section serves; nil (no
+// bulletin board) omits its families.
+func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, sh *serverHandler, fwd *topology.Forwarder, overload func() OverloadStats, peer *PeerOptions, board func() topology.HeartbeatStatus) *nodeMetrics {
 	nm := &nodeMetrics{routes: newRouteInstruments(reg)}
 
 	// Shuffler pipeline: counters mirror the mutex-guarded Stats that
@@ -180,6 +180,25 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.
 	// reasons are push-style (they exist only at process time).
 	registerShufflerMetrics(reg, shuf)
 
+	if sh != nil {
+		registerServerMetrics(reg, sh, peer)
+	}
+	if fwd != nil {
+		registerForwardMetrics(reg, fwd)
+	}
+	if overload != nil {
+		registerOverloadMetrics(reg, overload)
+	}
+	if board != nil {
+		registerBoardMetrics(reg, board)
+	}
+	return nm
+}
+
+// registerServerMetrics registers the server ingestion, model read-path
+// and (with peer) replication families of a model-serving node.
+func registerServerMetrics(reg *metrics.Registry, sh *serverHandler, peer *PeerOptions) {
+	srv := sh.s
 	// Server ingestion and read path: all lock-free atomic mirrors, so a
 	// scrape never serializes against Deliver.
 	reg.CounterFunc("p2b_server_tuples_delivered_total", "",
@@ -213,13 +232,6 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.
 	reg.CounterFunc("p2b_model_not_modified_total", "",
 		"Conditional model fetches answered 304 Not Modified.",
 		func() float64 { return float64(sh.notModified.Load()) })
-
-	if overload != nil {
-		registerOverloadMetrics(reg, overload)
-	}
-	if board != nil {
-		registerBoardMetrics(reg, board)
-	}
 
 	if peer != nil {
 		// Replication counters: the same atomics PeerStatus snapshots for
@@ -274,7 +286,6 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.
 				})
 		}
 	}
-	return nm
 }
 
 // peerSyncMaxLag computes the worst-case peer staleness: the age of the
@@ -314,12 +325,9 @@ func registerBoardMetrics(reg *metrics.Registry, board func() topology.Heartbeat
 		})
 }
 
-// newRelayMetrics is the relay handler's registry wiring: the same route
-// and shuffler families a combined node registers (dashboards reuse), plus
-// the forwarder's downstream counters in place of server ingestion.
-func newRelayMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, fwd *topology.Forwarder, overload func() OverloadStats, board func() topology.HeartbeatStatus) *nodeMetrics {
-	nm := &nodeMetrics{routes: newRouteInstruments(reg)}
-	registerShufflerMetrics(reg, shuf)
+// registerForwardMetrics registers a relay's downstream forward families
+// against the same counters its /healthz "forward" section serializes.
+func registerForwardMetrics(reg *metrics.Registry, fwd *topology.Forwarder) {
 	reg.CounterFunc("p2b_forward_batches_total", "",
 		"Privacy batches forwarded downstream (including duplicate-acked).",
 		func() float64 { return float64(fwd.Stats().Batches) })
@@ -335,13 +343,6 @@ func newRelayMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, fwd *topolo
 	reg.CounterFunc("p2b_forward_dropped_total", "",
 		"Batches abandoned after the retry budget; alert on any growth.",
 		func() float64 { return float64(fwd.Stats().Dropped) })
-	if overload != nil {
-		registerOverloadMetrics(reg, overload)
-	}
-	if board != nil {
-		registerBoardMetrics(reg, board)
-	}
-	return nm
 }
 
 // statusRecorder captures the response status for the class counters.

@@ -1,8 +1,9 @@
-// The multi-node HTTP surface: the analyzer-side peer routes and the
-// relay handler.
+// The multi-node HTTP surface: the analyzer-side peer routes. Both fleet
+// roles come from the one handler builder (newHandler): a model-serving
+// node mounts these routes when NodeOptions.Peer is set, and a relay is the
+// same builder around a forwarder instead of a server.
 //
-// Analyzer-side (mounted by NewNodeHandlerOpts when NodeOptions.Peer is
-// set):
+// Analyzer-side:
 //
 //	POST /peer/ingest  one relay-forwarded privacy batch (P2B1 binary
 //	                   stream, positioned by the X-P2b-Peer-* headers);
@@ -25,11 +26,13 @@
 // a bearer token; the digest and contrib GETs are authenticated too — they
 // hand out model state.
 //
-// Relay-side: NewRelayHandler mounts the same /shuffler/ routes a combined
-// node serves (same admission gate, same durable-ingest hooks, same
-// per-route metrics), plus a /healthz that names the relay role, the
+// Relay-side: the relay role of the shared builder serves the same
+// /shuffler/ routes a combined node does (same admission gate, same
+// durable-ingest hooks, same per-route metrics), /metrics and
+// /admin/checkpoint, and a /healthz that names the relay role, the
 // configured model shapes (so agent preflights validate against a relay
 // exactly as against a combined node) and the downstream forward counters.
+// It mounts no /server/ or /peer/ routes.
 package httpapi
 
 import (
@@ -40,9 +43,7 @@ import (
 	"net/http"
 	"strconv"
 
-	"p2b/internal/metrics"
 	"p2b/internal/server"
-	"p2b/internal/shuffler"
 	"p2b/internal/topology"
 	"p2b/internal/transport"
 )
@@ -227,123 +228,5 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, peers())
 	})
-	return mux
-}
-
-// RelayOptions configures a relay handler. The zero value is a plain
-// in-memory relay.
-type RelayOptions struct {
-	// Ingest handles report admission, exactly as on a combined node: nil
-	// submits straight to the shuffler, a durable relay wires its persist
-	// manager here.
-	Ingest Ingestor
-	// Checkpoint, when non-nil, enables POST /admin/checkpoint.
-	Checkpoint func() error
-	// Health, when non-nil, contributes a "persist" section to /healthz.
-	Health func() any
-	// Admission bounds the ingest routes (nil = unbounded).
-	Admission *Admission
-	// WALPolicy selects fail-closed (default) or degrade-to-memory when
-	// Ingest refuses a write.
-	WALPolicy WALPolicy
-	// Metrics, when non-nil, instruments the routes, the shuffler and the
-	// forwarder on this registry and mounts GET /metrics.
-	Metrics *metrics.Registry
-	// Shapes are the fleet's model dimensions, advertised on /healthz so
-	// agent preflights validate against a relay exactly as against a
-	// combined node (a relay holds no model of its own to derive them
-	// from).
-	Shapes ModelShapes
-	// Board reports the relay's bulletin-board registration health on
-	// /healthz and the p2b_board_* families, exactly as NodeOptions.Board
-	// does on a combined node.
-	Board func() topology.HeartbeatStatus
-	// Overload, when non-nil, is filled in at construction with the
-	// overload snapshot closure, exactly as NodeOptions.Overload.
-	Overload *func() OverloadStats
-}
-
-// RelayHealth is the relay's /healthz body.
-type RelayHealth struct {
-	Status     string                    `json:"status"`
-	Role       string                    `json:"role"`
-	Model      ModelShapes               `json:"model"`
-	Downstream string                    `json:"downstream"`
-	Forward    topology.ForwardStats     `json:"forward"`
-	Overload   *OverloadStats            `json:"overload,omitempty"`
-	Board      *topology.HeartbeatStatus `json:"board,omitempty"`
-	Persist    any                       `json:"persist,omitempty"`
-}
-
-// NewRelayHandler mounts the HTTP surface of a relay node: the full
-// /shuffler/ route set (agents cannot tell a relay from a combined node),
-// /healthz naming the relay role and the forward counters, optional
-// /admin/checkpoint, and /metrics when a registry is given. fwd is the
-// forwarder wired as the shuffler's sink; its counters are what /healthz
-// and the p2b_forward_* families report.
-func NewRelayHandler(shuf *shuffler.Shuffler, fwd *topology.Forwarder, opts RelayOptions) http.Handler {
-	ing := opts.Ingest
-	if ing == nil {
-		ing = shufflerIngestor{shuf}
-	}
-	var deg *degradingIngestor
-	if opts.WALPolicy == WALDegrade && opts.Ingest != nil {
-		deg = &degradingIngestor{primary: opts.Ingest, fallback: shufflerIngestor{shuf}}
-		ing = deg
-	}
-	var overload func() OverloadStats
-	if opts.Admission != nil || deg != nil {
-		overload = func() OverloadStats {
-			st := opts.Admission.Stats()
-			if deg != nil {
-				st.Degraded = deg.degraded.Load()
-				st.DegradedOps = deg.degradedOps.Load()
-			}
-			return st
-		}
-	}
-	if opts.Overload != nil {
-		*opts.Overload = overload
-	}
-	var nm *nodeMetrics
-	mux := http.NewServeMux()
-	if opts.Metrics != nil {
-		nm = newRelayMetrics(opts.Metrics, shuf, fwd, overload, opts.Board)
-		mux.Handle("GET /metrics", metrics.Handler(opts.Metrics))
-	}
-	mux.Handle("/shuffler/", http.StripPrefix("/shuffler", newShufflerHandlerOpts(shuf, ing, opts.Admission, overload, nm)))
-	mux.HandleFunc("GET /healthz", nm.wrap("healthz", func(w http.ResponseWriter, r *http.Request) {
-		status := RelayHealth{
-			Status:     "ok",
-			Role:       string(topology.RoleRelay),
-			Model:      opts.Shapes,
-			Downstream: fwd.Downstream(),
-			Forward:    fwd.Stats(),
-		}
-		if overload != nil {
-			ov := overload()
-			status.Overload = &ov
-			if ov.Degraded {
-				status.Status = "degraded"
-			}
-		}
-		if opts.Board != nil {
-			bs := opts.Board()
-			status.Board = &bs
-		}
-		if opts.Health != nil {
-			status.Persist = opts.Health()
-		}
-		writeJSON(w, status)
-	}))
-	if opts.Checkpoint != nil {
-		mux.HandleFunc("POST /admin/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-			if err := opts.Checkpoint(); err != nil {
-				http.Error(w, fmt.Sprintf("httpapi: checkpoint failed: %v", err), http.StatusInternalServerError)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		})
-	}
 	return mux
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"p2b/internal/metrics"
+	"p2b/internal/persist"
 	"p2b/internal/rng"
 	"p2b/internal/server"
 	"p2b/internal/shuffler"
@@ -437,4 +438,85 @@ func FuzzPeerPosition(f *testing.F) {
 			t.Fatalf("accepted (%d, %d), headers parse to (%d, %d)", epoch, seq, wantEpoch, wantSeq)
 		}
 	})
+}
+
+// A relay whose analyzer is down keeps answering /healthz and its forward
+// counters while a batch climbs the retry ladder: that outage is exactly
+// when an operator needs p2b_forward_retries_total. A durable relay
+// forwards from inside its WAL-guarded ingest call, so its persist section
+// must not wait on that call either.
+func TestRelayHealthStaysLiveDuringDownstreamOutage(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			entered := make(chan struct{}, 1)
+			down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				http.Error(w, "analyzer down", http.StatusServiceUnavailable)
+			}))
+			defer down.Close()
+			fwd, err := topology.NewForwarder(down.URL, topology.ForwarderOptions{
+				Origin: "relay-1", MaxRetries: 3, RetryBase: 200 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, fwd, rng.New(3))
+			opts := RelayOptions{Metrics: metrics.NewRegistry()}
+			deliver := func() { fwd.Deliver(peerBatch(4)) }
+			if durable {
+				srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1, Shards: 1})
+				mgr, err := persist.Open(t.TempDir(), shuf, srv, persist.Options{Cursor: fwd, Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mgr.Close()
+				fwd.SetSync(mgr.SyncWAL)
+				opts.Ingest = mgr
+				opts.Health = func() any { return mgr.Info() }
+				deliver = func() {
+					if err := mgr.SubmitTuples(peerBatch(4)); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			relayTS := httptest.NewServer(NewRelayHandler(shuf, fwd, opts))
+			defer relayTS.Close()
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				deliver()
+			}()
+			<-entered
+
+			within := func(what string, f func()) {
+				t.Helper()
+				answered := make(chan struct{})
+				go func() {
+					defer close(answered)
+					f()
+				}()
+				select {
+				case <-answered:
+				case <-time.After(200 * time.Millisecond):
+					t.Errorf("%s blocked behind a retrying Deliver", what)
+				}
+			}
+			within("Forwarder.Stats", func() { fwd.Stats() })
+			within("relay GET /healthz", func() {
+				resp, err := http.Get(relayTS.URL + "/healthz")
+				if err == nil {
+					resp.Body.Close()
+				}
+			})
+
+			<-done
+			if st := fwd.Stats(); st.Retries != 3 || st.Dropped != 1 || st.Batches != 0 {
+				t.Fatalf("forward stats after the exhausted ladder = %+v, want 3 retries and 1 drop", st)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"log"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2b/internal/server"
@@ -93,10 +94,14 @@ type Manager struct {
 	srv  *server.Server
 	wal  *WAL
 
-	mu       sync.Mutex // serializes ingestion and checkpointing
-	ckptSeq  uint64     // WAL position of the last written checkpoint
-	ckptRaw  int64      // server raw-tuple count at the last checkpoint
-	hasCkpt  bool       // a checkpoint has been written or loaded
+	mu      sync.Mutex // serializes ingestion and checkpointing
+	ckptRaw int64      // server raw-tuple count at the last checkpoint
+	hasCkpt bool       // a checkpoint has been written or loaded
+	// ckptSeq is the WAL position of the last written checkpoint. It is
+	// written under mu but read without it, and recovery is fixed once
+	// Open returns, so Info never waits on an ingest call — which on a
+	// relay includes a forward riding out a downstream outage.
+	ckptSeq  atomic.Uint64
 	recovery RecoveryInfo
 
 	stop chan struct{}
@@ -145,7 +150,7 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 		if err := shuf.Restore(ckpt.Shuffler); err != nil {
 			return nil, fmt.Errorf("persist: restoring shuffler state: %w", err)
 		}
-		m.ckptSeq = ckpt.WALSeq
+		m.ckptSeq.Store(ckpt.WALSeq)
 		m.ckptRaw = ckpt.Server.Raw
 		m.hasCkpt = true
 		m.recovery.CheckpointSeq = ckpt.WALSeq
@@ -172,12 +177,12 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 	m.recovery.TruncatedBytes = walInfo.TruncatedBytes
 	m.recovery.LastSeq = walInfo.LastSeq
 
-	if walInfo.LastSeq < m.ckptSeq {
+	if walInfo.LastSeq < m.ckptSeq.Load() {
 		wal.Close()
-		return nil, fmt.Errorf("%w: checkpoint covers sequence %d but the log ends at %d", ErrCorrupt, m.ckptSeq, walInfo.LastSeq)
+		return nil, fmt.Errorf("%w: checkpoint covers sequence %d but the log ends at %d", ErrCorrupt, m.ckptSeq.Load(), walInfo.LastSeq)
 	}
 
-	err = wal.Replay(m.ckptSeq, func(rec Record) error {
+	err = wal.Replay(m.ckptSeq.Load(), func(rec Record) error {
 		m.recovery.ReplayedRecords++
 		switch rec.Type {
 		case RecordFlush:
@@ -337,7 +342,7 @@ func (m *Manager) Checkpoint() error {
 	// checkpoint. Skipping avoids rewriting a multi-megabyte checkpoint
 	// every interval tick on an idle node. (The snapshots-served counter
 	// may drift; that is bookkeeping, not model state.)
-	if m.hasCkpt && seq == m.ckptSeq && m.srv.Stats().RawIngested == m.ckptRaw {
+	if m.hasCkpt && seq == m.ckptSeq.Load() && m.srv.Stats().RawIngested == m.ckptRaw {
 		return nil
 	}
 	start := m.appendStart()
@@ -367,7 +372,7 @@ func (m *Manager) Checkpoint() error {
 	if err := WriteCheckpoint(m.dir, ckpt); err != nil {
 		return err
 	}
-	m.ckptSeq = seq
+	m.ckptSeq.Store(seq)
 	m.ckptRaw = ckpt.Server.Raw
 	m.hasCkpt = true
 	if err := m.wal.Rotate(); err != nil {
@@ -392,24 +397,16 @@ func (m *Manager) Checkpoint() error {
 func (m *Manager) SyncWAL() error { return m.wal.Sync() }
 
 // Recovery returns what Open reconstructed.
-func (m *Manager) Recovery() RecoveryInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recovery
-}
+func (m *Manager) Recovery() RecoveryInfo { return m.recovery }
 
 // Info returns the manager's live status.
 func (m *Manager) Info() Info {
-	m.mu.Lock()
-	rec := m.recovery
-	ckptSeq := m.ckptSeq
-	m.mu.Unlock()
 	return Info{
 		Dir:           m.dir,
 		WALSeq:        m.wal.LastSeq(),
-		CheckpointSeq: ckptSeq,
+		CheckpointSeq: m.ckptSeq.Load(),
 		Segments:      m.wal.Segments(),
-		Recovery:      rec,
+		Recovery:      m.recovery,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -392,5 +393,50 @@ func TestNewPeeringRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := topology.NewPeering(good); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
+	}
+}
+
+// A digest round against a peer that does not answer must not hold the
+// status lock: /healthz, /server/stats, /peer/status and the
+// p2b_peer_sync_* collectors all read Status, and one slow peer would
+// otherwise stall every one of them for the client timeout.
+func TestDigestRoundDoesNotStallStatus(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	peer := newTestServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		http.Error(w, "peer overloaded", http.StatusServiceUnavailable)
+	}))
+	var once sync.Once
+	releasePeer := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(releasePeer) // before the server's Close, which waits for the handler
+
+	puller := newPuller(t, eqServer(), "analyzer-b", "", peer.URL)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		puller.DigestSync()
+	}()
+	<-entered
+
+	answered := make(chan []topology.SyncStatus, 1)
+	go func() { answered <- puller.Status() }()
+	select {
+	case sts := <-answered:
+		if len(sts) != 1 || sts[0].Pulls != 0 || sts[0].PullErrors != 0 {
+			t.Errorf("mid-round status = %+v, want the untouched pre-round counters", sts)
+		}
+	case <-time.After(200 * time.Millisecond):
+		t.Error("Status blocked behind an in-flight digest round")
+	}
+
+	releasePeer()
+	<-done
+	if st := pullStatus(t, puller); st.PullErrors != 1 || st.Pulls != 0 || st.LastError == "" {
+		t.Fatalf("status after the released round = %+v, want one pull error", st)
 	}
 }

@@ -68,7 +68,9 @@ type ForwarderOptions struct {
 // shuffler may call Deliver from concurrent request goroutines: sequence
 // numbers must be assigned in send order for the analyzer's duplicate
 // guard to be meaningful. Sends are synchronous — when the relay acks a
-// flush, the batches it cut have already been acked downstream.
+// flush, the batches it cut have already been acked downstream. The
+// counters sit behind their own short-held lock, so Stats answers while a
+// delivery sleeps through its retry ladder.
 type Forwarder struct {
 	downstream string
 	opts       ForwarderOptions
@@ -79,7 +81,9 @@ type Forwarder struct {
 	seq   uint64
 	sync  func() error // pre-send durability hook, see SetSync
 	enc   []byte
-	stats ForwardStats
+
+	statsMu sync.Mutex
+	stats   ForwardStats
 }
 
 // NewForwarder returns a forwarder delivering to the analyzer at
@@ -152,9 +156,24 @@ func (f *Forwarder) Downstream() string { return f.downstream }
 
 // Stats returns a snapshot of the forward counters.
 func (f *Forwarder) Stats() ForwardStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.statsMu.Lock()
+	defer f.statsMu.Unlock()
 	return f.stats
+}
+
+// count applies one counter update under the stats lock.
+func (f *Forwarder) count(update func(*ForwardStats)) {
+	f.statsMu.Lock()
+	defer f.statsMu.Unlock()
+	update(&f.stats)
+}
+
+// drop counts a batch abandoned with err.
+func (f *Forwarder) drop(err error) {
+	f.count(func(st *ForwardStats) {
+		st.Dropped++
+		st.LastError = err.Error()
+	})
 }
 
 // Deliver implements shuffler.Sink: the batch is sent downstream before
@@ -174,8 +193,7 @@ func (f *Forwarder) Deliver(batch []transport.Tuple) {
 			// anyway risks a later batch reusing its (epoch, seq) after a
 			// crash-replay under-derives the sequence. Refuse the batch the
 			// same way an exhausted retry budget would.
-			f.stats.Dropped++
-			f.stats.LastError = err.Error()
+			f.drop(err)
 			if f.opts.Logf != nil {
 				f.opts.Logf("topology: dropping batch: durability sync failed: %v", err)
 			}
@@ -191,18 +209,19 @@ func (f *Forwarder) Deliver(batch []transport.Tuple) {
 	}
 	applied, err := f.sendLocked(f.seq, f.enc, len(batch))
 	if err != nil {
-		f.stats.Dropped++
-		f.stats.LastError = err.Error()
+		f.drop(err)
 		if f.opts.Logf != nil {
 			f.opts.Logf("topology: dropping batch seq %d after retries: %v", f.seq, err)
 		}
 		return
 	}
-	f.stats.Batches++
-	f.stats.Tuples += int64(len(batch))
-	if !applied {
-		f.stats.Duplicates++
-	}
+	f.count(func(st *ForwardStats) {
+		st.Batches++
+		st.Tuples += int64(len(batch))
+		if !applied {
+			st.Duplicates++
+		}
+	})
 }
 
 // sendLocked posts one encoded batch, retrying transient failures with
@@ -214,7 +233,7 @@ func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
 	var lastErr error
 	for attempt := 0; attempt <= f.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
-			f.stats.Retries++
+			f.count(func(st *ForwardStats) { st.Retries++ })
 			time.Sleep(delay)
 			if delay < 10*time.Second {
 				delay *= 2
@@ -239,7 +258,7 @@ func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
 		applied, err := decodePeerAck(resp)
 		if err != nil {
 			lastErr = err
-			if !retryablePeerStatus(resp.StatusCode) {
+			if !transport.RetryableStatus(resp.StatusCode) {
 				return false, err
 			}
 			continue
@@ -266,14 +285,4 @@ func decodePeerAck(resp *http.Response) (bool, error) {
 		return false, fmt.Errorf("topology: decoding peer ack: %w", err)
 	}
 	return ack.Applied, nil
-}
-
-// retryablePeerStatus reports whether a peer response status is transient:
-// overload sheds and 5xx are retried, everything else (auth failures,
-// malformed-request 4xx) is sticky — retrying a 401 forever would only
-// hide the misconfiguration.
-func retryablePeerStatus(status int) bool {
-	return status == http.StatusTooManyRequests ||
-		status == http.StatusRequestTimeout ||
-		status >= 500
 }

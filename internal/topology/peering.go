@@ -114,6 +114,10 @@ type Peering struct {
 	opts   PeeringOptions
 	client *http.Client
 
+	// round serializes digest rounds; mu guards states only and is never
+	// held across a peer call, so Status answers while a round waits on a
+	// slow peer.
+	round  sync.Mutex
 	mu     sync.Mutex
 	states map[string]*SyncStatus // keyed by peer URL
 
@@ -186,10 +190,10 @@ func (p *Peering) Close() {
 // DigestSync runs one pull round: fetch every peer's digest, diff it
 // against the positions this node already holds, and fetch + apply only
 // the missing or newer contributions. Safe to call concurrently with the
-// background loop (rounds serialize on the internal mutex).
+// background loop (rounds serialize on their own mutex).
 func (p *Peering) DigestSync() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.round.Lock()
+	defer p.round.Unlock()
 	// One holdings snapshot serves the whole round; applied fetches update
 	// it so a contribution available from several peers is fetched once.
 	held := make(map[string]server.PeerSeq)
@@ -197,30 +201,33 @@ func (p *Peering) DigestSync() {
 		held[c.Origin] = server.PeerSeq{Epoch: c.Epoch, Seq: c.Seq}
 	}
 	for _, peer := range p.opts.Peers {
+		fetched, err := p.pull(peer, held)
+		if err != nil && p.opts.Logf != nil {
+			p.opts.Logf("topology: digest round against %s: %v", peer, err)
+		}
+		p.mu.Lock()
 		st := p.states[peer]
-		if err := p.pull(peer, st, held); err != nil {
+		st.Fetched += fetched
+		if err != nil {
 			st.PullErrors++
 			st.LastError = err.Error()
-			if p.opts.Logf != nil {
-				p.opts.Logf("topology: digest round against %s: %v", peer, err)
-			}
-			continue
+		} else {
+			st.Pulls++
+			st.LastError = ""
+			st.LastSyncUnixNano = wallClock().UnixNano()
 		}
-		st.Pulls++
-		st.LastError = ""
-		st.LastSyncUnixNano = wallClock().UnixNano()
+		p.mu.Unlock()
 	}
 }
 
-// pull runs one peer's share of a round and returns the last failure. A
-// failed contrib fetch does not stop the others: each origin heals
-// independently.
-func (p *Peering) pull(peer string, st *SyncStatus, held map[string]server.PeerSeq) error {
+// pull runs one peer's share of a round and returns how many
+// contributions it applied and the last failure. A failed contrib fetch
+// does not stop the others: each origin heals independently.
+func (p *Peering) pull(peer string, held map[string]server.PeerSeq) (fetched int64, failed error) {
 	var digest Digest
 	if err := p.getJSON(peer+"/peer/digest", &digest); err != nil {
-		return err
+		return 0, err
 	}
-	var failed error
 	for _, e := range digest.Entries {
 		if e.Origin == p.opts.Origin {
 			// Never fetch our own contribution back: local state is
@@ -247,13 +254,13 @@ func (p *Peering) pull(peer string, st *SyncStatus, held map[string]server.PeerS
 			continue
 		}
 		if applied {
-			st.Fetched++
+			fetched++
 			held[e.Origin] = server.PeerSeq{Epoch: upd.Epoch, Seq: upd.Seq}
 		}
 		// applied=false means the peer answered with a position this node
 		// already supersedes, so held stays as it is.
 	}
-	return failed
+	return fetched, failed
 }
 
 // getJSON is an authenticated GET + JSON decode against a peer route,

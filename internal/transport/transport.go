@@ -12,6 +12,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 )
 
@@ -113,4 +114,16 @@ func (b *Bus) Close() {
 		b.closed = true
 		close(b.ch)
 	}
+}
+
+// RetryableStatus reports whether an HTTP status answering a report,
+// batch or peer POST is transient and the same bytes are worth resending:
+// the throttle statuses (429, 503) and request timeout (408) are explicit
+// "try again later", and any 5xx is a server-side condition the request
+// may outlive. Everything else — auth failures, malformed-request 4xx — is
+// sticky: retrying a 401 forever would only hide the misconfiguration.
+func RetryableStatus(status int) bool {
+	return status == http.StatusTooManyRequests ||
+		status == http.StatusRequestTimeout ||
+		status >= 500
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net/http"
 	"sync"
 	"testing"
 )
@@ -124,4 +125,25 @@ func TestNewBusNegativeBufferPanics(t *testing.T) {
 		}
 	}()
 	NewBus(-1)
+}
+
+func TestRetryableStatus(t *testing.T) {
+	for _, tc := range []struct {
+		status int
+		want   bool
+	}{
+		{http.StatusTooManyRequests, true},
+		{http.StatusRequestTimeout, true},
+		{http.StatusInternalServerError, true},
+		{http.StatusServiceUnavailable, true},
+		{http.StatusBadRequest, false},
+		{http.StatusUnauthorized, false},
+		{http.StatusNotFound, false},
+		{http.StatusRequestEntityTooLarge, false},
+		{http.StatusAccepted, false},
+	} {
+		if got := RetryableStatus(tc.status); got != tc.want {
+			t.Errorf("RetryableStatus(%d) = %v, want %v", tc.status, got, tc.want)
+		}
+	}
 }

@@ -6,7 +6,7 @@
 #     converged tabular model is recorded.
 #  2. The SAME workload, partitioned across a fleet — a p2bboard bulletin
 #     board, two relays forwarding over /peer/ingest, two analyzers
-#     anti-entropy-peered over /peer/merge — must converge every analyzer
+#     digest-pulling over /peer/digest + /peer/contrib — must converge every analyzer
 #     to a BIT-IDENTICAL model.
 #
 # Why bit-exactness is possible at all: the workload ships integral {0,1}
